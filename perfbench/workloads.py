@@ -68,7 +68,7 @@ CHECK_EVERY = 4  # reference-check every 4th query
 MIN_QUERIES = 200  # per index, so ten samples lie beyond p95
 
 # Seconds a task gets when it is not the workload's focus.
-SIDE_SECONDS = {"setup": 1.0, "recipe": 6.0, "encode": 3.0, "query": 5.0, "eval": 3.0}
+SIDE_SECONDS = {"setup": 1.0, "recipe": 3.0, "encode": 3.0, "query": 5.0, "eval": 3.0}
 
 
 @dataclass(frozen=True)
