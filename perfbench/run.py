@@ -82,6 +82,7 @@ def run_workload(name: str, seed: int, seconds: float, small: bool, tr, plan=Non
         minimum = {
             "setup": wl.SETUP_REPEATS - 1,
             "recipe": 1,
+            "train": p.train_subsets,
             "encode": 2,
             "query": 20 if small else wl.MIN_QUERIES,
             "eval": wl.eval_blocks(p, index_size)[1],
@@ -89,23 +90,29 @@ def run_workload(name: str, seed: int, seconds: float, small: bool, tr, plan=Non
         steps = {
             "setup": wl.setup_steps(p, seed, work / "repeat", tr, setup_times),
             "recipe": wl.recipe_steps(p, inp, seed, tr, tally, res),
+            "train": wl.train_steps(p, inp, seed, tr, tally, res),
             "encode": wl.encode_steps(inp, tr, tally, res),
             "query": wl.query_steps(inputs, tr, tally, res),
             "eval": wl.eval_steps(p, inputs, tr, tally, res),
         }
         tasks = []
+        if "recipe" in p.focus:  # the recipe's own trainings sample train_s
+            del steps["train"]
         for task, gen in steps.items():
             if task in p.focus:
                 budget = seconds
             else:
                 budget = wl.SIDE_SECONDS[task] * (0.05 if small else 1.0)
+            weight = {
+                "setup": max(budget, setup_times[0] * minimum[task]),
+                "recipe": max(budget, p.pace),
+            }.get(task, budget)
+            if task == "train":  # exactly one training per subset
+                budget = 0.0
             tasks.append(wl.Task(
                 name=task,
                 steps=gen,
-                weight={
-                    "setup": max(budget, setup_times[0] * minimum[task]),
-                    "recipe": max(budget, p.pace),
-                }.get(task, budget),
+                weight=weight,
                 stop=_stopper(budget, minimum[task], plan[task] if plan else None),
                 ready=index_ready if task in ("query", "eval") else (lambda: True),
             ))

@@ -1,10 +1,12 @@
 """Workload inputs, the tasks every workload runs, and output checks.
 
-Every workload runs the same four tasks, so every end-to-end metric is
-measured on every workload:
+Every workload runs the same tasks, so every end-to-end metric is measured
+on every workload:
 
 * recipe: the README command-line recipe through ``faemb.cli.main`` on a
   toy-shape corpus (n=8, d=16, D=1,088), real-valued and binary branches;
+* train: where the recipe is not the focus, ``train-coding`` once on each of
+  many small training subsets, spread over the run;
 * encode: paper-shape descriptors (n=16, d=45, D=16,560) streamed image by
   image through ``code_batch`` + ``embed_faemb_batch`` with both coders;
 * query: single queries through ``search`` on a real and a binary index;
@@ -24,6 +26,7 @@ alter them.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import math
 import shutil
@@ -62,13 +65,14 @@ PAPER_N, PAPER_D = 16, 45
 MU = 1e-2
 WORKERS = 1  # CLI --threads; spans assume one thread
 SETUP_REPEATS = 3
-TRAIN_SUBSETS = 3  # each recipe pass trains on every subset; train cost depends on the data
 TOP_K = 10
 CHECK_EVERY = 4  # reference-check every 4th query
 MIN_QUERIES = 200  # per index, so ten samples lie beyond p95
+ENCODE_IMAGES = 64  # distinct paper-shape images the encode task cycles over
 
 # Seconds a task gets when it is not the workload's focus.
-SIDE_SECONDS = {"setup": 1.0, "recipe": 3.0, "encode": 3.0, "query": 5.0, "eval": 3.0}
+# The train task runs one training per subset; its entry only spreads them.
+SIDE_SECONDS = {"setup": 1.0, "recipe": 3.0, "train": 5.0, "encode": 3.0, "query": 5.0, "eval": 3.0}
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,9 @@ class Profile:
     train_count: int
     outer_iters: int
     bits: int
+    # training subsets; train cost depends on the data, so train_s covers
+    # several
+    train_subsets: int
     # encode task: descriptors per paper-shape image
     encode_per_image: int
     # expected seconds of one focus unit on a 2-core box; weighting the focus
@@ -102,18 +109,20 @@ class Profile:
 
 
 SIDE_RECIPE = dict(
-    clusters=20, per_cluster=5, per_image=20, sigma=0.3, train_count=1000,
-    outer_iters=1, bits=16,
+    clusters=20, per_cluster=5, per_image=20, sigma=0.3, train_count=300,
+    outer_iters=1, bits=16, train_subsets=10,
 )
 
 PROFILES = {
     "cli-toy": Profile(
         focus=("recipe",), clusters=20, per_cluster=5, per_image=200, sigma=0.9,
-        train_count=1000, outer_iters=3, bits=64, encode_per_image=100, pace=25.0,
+        train_count=1000, outer_iters=3, bits=64, train_subsets=3, encode_per_image=100,
+        pace=25.0,
         map_floor=(0.55, 0.3),
     ),
     "encode-paper": Profile(
-        focus=("encode",), encode_per_image=200, map_floor=(0.9, 0.9), **SIDE_RECIPE,
+        focus=("encode",), encode_per_image=200, sig_clusters=20, sig_noise=1.0,
+        sig_bits=64, sig_train=100, map_floor=(0.9, 0.9), **SIDE_RECIPE,
     ),
     "query-5k": Profile(
         focus=("query", "eval"), encode_per_image=100, sig_clusters=1000,
@@ -127,7 +136,7 @@ def tiny(p: Profile) -> Profile:
     """The same workload at sizes small enough for the self-check."""
     return Profile(
         focus=p.focus, clusters=4, per_cluster=3, per_image=20, sigma=p.sigma,
-        train_count=120, outer_iters=1, bits=8, encode_per_image=20,
+        train_count=120, outer_iters=1, bits=8, train_subsets=2, encode_per_image=20,
         sig_clusters=40 if p.sig_clusters else 0, sig_per_cluster=p.sig_per_cluster,
         sig_dim=64, sig_noise=p.sig_noise, sig_bits=32, sig_train=200,
         eval_block=10 if p.sig_clusters else 0, eval_queries=20 if p.sig_clusters else 0,
@@ -260,7 +269,7 @@ def setup(p: Profile, seed: int, work: Path, tr) -> Inputs:
     rng = np.random.default_rng([seed, 2])
     stacked = np.concatenate([s.descriptors for s in sets])
     tr.call("storage.save_descriptors", save_descriptors, work / "corpus.faeb", sets)
-    for k in range(TRAIN_SUBSETS):
+    for k in range(p.train_subsets):
         train = stacked[rng.choice(len(stacked), p.train_count, replace=False)]
         tr.call(
             "storage.save_descriptors", save_descriptors, work / f"train{k}.faeb",
@@ -272,7 +281,7 @@ def setup(p: Profile, seed: int, work: Path, tr) -> Inputs:
     rng = np.random.default_rng([seed, 3])
     sample = rng.standard_normal((PAPER_D, 2000))
     anchors = tr.call("coding.kmeans_init", kmeans_init, sample, PAPER_N, seed=seed)
-    images = [rng.standard_normal((PAPER_D, p.encode_per_image)) for _ in range(16)]
+    images = [rng.standard_normal((PAPER_D, p.encode_per_image)) for _ in range(ENCODE_IMAGES)]
     inputs = Inputs(
         work=work,
         gt=gt,
@@ -291,6 +300,18 @@ def setup(p: Profile, seed: int, work: Path, tr) -> Inputs:
     return inputs
 
 
+def _release_heap() -> None:
+    """Return freed heap pages to the system (glibc only).
+
+    A set-up repeat frees a second copy of the inputs, mostly small arrays
+    that stay in the heap.  Without this, ``peak_rss_mb`` would depend on
+    whether a large query happened to run before the heap was reused.
+    """
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
 def setup_steps(p: Profile, seed: int, work: Path, tr, times: list[float]):
     """Repeat set-up into a scratch directory, one repeat per step."""
     n = 0
@@ -299,6 +320,7 @@ def setup_steps(p: Profile, seed: int, work: Path, tr, times: list[float]):
         setup(p, seed, work, tr)
         times.append(time.perf_counter() - t0)
         shutil.rmtree(work, ignore_errors=True)
+        _release_heap()
         n += 1
         yield n
 
@@ -323,18 +345,29 @@ def _cli(tr, tally: Tally, argv: list[str]) -> tuple[float, str]:
     return wall, out.getvalue()
 
 
+def _common(p: Profile, inp: Inputs, seed: int) -> list[str]:
+    return [
+        "--config", str(inp.work / "bench.cfg"), "--n", str(TOY_N), "--mu", str(MU),
+        "--variant", "ffaemb", "--seed", str(seed), "--threads", str(WORKERS),
+        "--bits", str(p.bits),
+    ]
+
+
 def recipe_steps(p: Profile, inp: Inputs, seed: int, tr, tally: Tally, res: Results):
-    """README recipe, one subcommand per step; repeats until stopped."""
+    """README recipe, one subcommand per step; repeats until stopped.
+
+    As the focus, each pass also trains on every other subset and all its
+    trainings count in ``train_s``; as a side task it trains once per pass,
+    uncounted, and :func:`train_steps` samples ``train_s`` instead.
+    """
+    focus = "recipe" in p.focus
     f = {k: str(inp.work / v) for k, v in dict(
-        corpus="corpus.faeb", gt="gt.txt", cfg="bench.cfg",
+        corpus="corpus.faeb", gt="gt.txt",
         coding="coding.famb", embedded="embedded.famb", whitening="whitening.famb",
         sigs="signatures.famb", index="index.famb", itq="itq.famb",
         codes="codes.famb", bindex="bindex.famb",
     ).items()}
-    common = [
-        "--config", f["cfg"], "--n", str(TOY_N), "--mu", str(MU), "--variant", "ffaemb",
-        "--seed", str(seed), "--threads", str(WORKERS), "--bits", str(p.bits),
-    ]
+    common = _common(p, inp, seed)
     build = [
         ["embed", "--in", f["corpus"], "--coding", f["coding"], "--out", f["embedded"]],
         ["fit-agg", "--in", f["embedded"], "--out", f["whitening"]],
@@ -351,7 +384,9 @@ def recipe_steps(p: Profile, inp: Inputs, seed: int, tr, tally: Tally, res: Resu
         # the build uses the first model, so the query and eval tasks can
         # start while the other training subsets run
         train = str(inp.work / "train0.faeb")
-        res.train_s.append(_cli(tr, tally, ["train-coding", "--train", train, "--out", f["coding"], *common])[0])
+        train_s = _cli(tr, tally, ["train-coding", "--train", train, "--out", f["coding"], *common])[0]
+        if focus:
+            res.train_s.append(train_s)
         yield None
         build_s = 0.0
         for argv in build:
@@ -368,13 +403,29 @@ def recipe_steps(p: Profile, inp: Inputs, seed: int, tr, tally: Tally, res: Resu
             cli_map[kind] = float(last.split()[1]) if last.startswith("mAP ") else math.nan
         res.build_s.append(build_s)
         res.recipe = dict(files=f, qid=qid, searched=searched, cli_map=cli_map)
+        if not focus:
+            passes += 1
+            yield passes
+            continue
         yield None
-        for k in range(1, TRAIN_SUBSETS):
+        for k in range(1, p.train_subsets):
             train = str(inp.work / f"train{k}.faeb")
             out = str(inp.work / f"coding{k}.famb")
             res.train_s.append(_cli(tr, tally, ["train-coding", "--train", train, "--out", out, *common])[0])
-            yield None if k < TRAIN_SUBSETS - 1 else passes + 1
+            yield None if k < p.train_subsets - 1 else passes + 1
         passes += 1
+
+
+def train_steps(p: Profile, inp: Inputs, seed: int, tr, tally: Tally, res: Results):
+    """``train-coding`` on each training subset in turn, one per step."""
+    common = _common(p, inp, seed)
+    out = str(inp.work / "coding-side.famb")
+    n = 0
+    while True:
+        train = str(inp.work / f"train{n % p.train_subsets}.faeb")
+        res.train_s.append(_cli(tr, tally, ["train-coding", "--train", train, "--out", out, *common])[0])
+        n += 1
+        yield n
 
 
 def query_inputs(inp: Inputs, res: Results, tr, tally: Tally) -> tuple:
@@ -530,8 +581,10 @@ def summarize(p: Profile, res: Results, tally: Tally) -> dict:
                 f"faemb eval printed mAP {printed} ({kind}), evaluate_map gives {value:.6f}",
             )
     lat = res.latency_ms
+    # the side train task trains once on every subset: a mean weighs each alike
+    train = statistics.median if "recipe" in p.focus else statistics.fmean
     return {
-        "train_s": statistics.median(res.train_s),
+        "train_s": train(res.train_s),
         "index_build_s": statistics.median(res.build_s),
         "ffaemb_desc_per_s": statistics.median(res.rates["ffaemb"]),
         "faemb_desc_per_s": statistics.median(res.rates["faemb"]),
