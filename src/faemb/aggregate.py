@@ -49,6 +49,8 @@ class WhiteningModel:
     ``projection`` holds eigenvectors of the training covariance as columns,
     ordered by descending eigenvalue.  ``eps`` floors the eigenvalues before
     the inverse square root so rank-deficient training data cannot blow up.
+    ``_basis`` is derived from those: the scaled projection with the
+    ``drop`` leading columns removed, shape ``(dim, out_dim)``.
     """
 
     mean: np.ndarray = field(repr=False)
@@ -56,6 +58,7 @@ class WhiteningModel:
     eigenvalues: np.ndarray = field(repr=False)
     drop: int
     eps: float
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -73,6 +76,9 @@ class WhiteningModel:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "projection", P)
         object.__setattr__(self, "eigenvalues", lam)
+        keep = slice(self.drop, None)
+        basis = P[:, keep] / np.sqrt(np.maximum(lam[keep], self.eps))
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def dim(self) -> int:
@@ -81,10 +87,6 @@ class WhiteningModel:
     @property
     def out_dim(self) -> int:
         return self.dim - self.drop
-
-    def _scaled_basis(self) -> np.ndarray:
-        lam = np.maximum(self.eigenvalues, self.eps)
-        return self.projection / np.sqrt(lam)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,23 @@ class DemocraticResult:
     converged: bool
 
 
+def _pca(
+    X: np.ndarray, keep: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Principal components of row-stacked samples ``X (N, D)``, ``N >= 2``.
+
+    Returns the mean, the centered rows, all covariance eigenvalues in
+    descending order (clipped at 0) and the eigenvectors of the leading
+    ``keep`` (default all) of them as columns.
+    """
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    cov = (Xc.T @ Xc) / (X.shape[0] - 1)
+    lam, P = np.linalg.eigh(cov)
+    order = np.argsort(lam)[::-1]
+    return mean, Xc, np.maximum(lam[order], 0.0), P[:, order[:keep]]
+
+
 def fit_whitening(
     Phi_train: np.ndarray, drop: int = 0, eps: float | None = None
 ) -> WhiteningModel:
@@ -154,34 +173,29 @@ def fit_whitening(
         raise ValueError(f"need at least 2 training vectors, got {N}")
     if not (0 <= drop < D):
         raise ValueError(f"drop must satisfy 0 <= drop < {D}, got {drop}")
-    mean = Phi.mean(axis=0)
-    Xc = Phi - mean
-    cov = (Xc.T @ Xc) / (N - 1)
-    lam, P = np.linalg.eigh(cov)
-    order = np.argsort(lam)[::-1]
-    lam = np.maximum(lam[order], 0.0)
-    P = P[:, order]
+    mean, _, lam, P = _pca(Phi)
     if eps is None:
         eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
     return WhiteningModel(mean=mean, projection=P, eigenvalues=lam, drop=drop, eps=eps)
 
 
 def whiten(phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
-    """Center, rotate, scale, and drop the leading components of one vector."""
+    """Center, rotate, scale, and drop the leading components of one vector.
+
+    Single-vector view of :func:`whiten_batch`.
+    """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (model.dim,):
         raise ValueError(f"expected length {model.dim}, got shape {phi.shape}")
-    y = model._scaled_basis().T @ (phi - model.mean)
-    return y[model.drop :]
+    return whiten_batch(phi[None, :], model)[0]
 
 
 def whiten_batch(Phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
-    """Vectorized :func:`whiten` over row-stacked vectors."""
+    """Center, rotate, scale, and drop the leading components of each row."""
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.dim:
         raise ValueError(f"expected (*, {model.dim}), got shape {Phi.shape}")
-    Y = (Phi - model.mean) @ model._scaled_basis()
-    return Y[:, model.drop :]
+    return (Phi - model.mean) @ model._basis
 
 
 def democratic_weights(
@@ -323,12 +337,7 @@ def fit_rotation_norm(
         raise ValueError(f"need at least 2 training signatures, got {N}")
     if not (1 <= keep <= D):
         raise ValueError(f"keep must lie in [1, {D}], got {keep}")
-    Xc = Psi - Psi.mean(axis=0)
-    cov = (Xc.T @ Xc) / (N - 1)
-    lam, P = np.linalg.eigh(cov)
-    order = np.argsort(lam)[::-1]
-    lam = np.maximum(lam[order], 0.0)
-    P = P[:, order]
+    _, _, lam, P = _pca(Psi)
     if eps is None:
         eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
     rotation = (P / np.sqrt(np.maximum(lam, eps))).T

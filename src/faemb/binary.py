@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import ImageSignature
+from .aggregate import ImageSignature, _pca
 
 __all__ = [
     "ItqModel",
@@ -126,19 +126,13 @@ def fit_itq(
         raise ValueError(f"bits must lie in [1, {D}], got {bits}")
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    mean = Psi.mean(axis=0)
-    Xc = Psi - mean
-    cov = (Xc.T @ Xc) / (N - 1)
-    lam, P = np.linalg.eigh(cov)
-    order = np.argsort(lam)[::-1]
-    lam = np.maximum(lam[order], 0.0)
+    mean, Xc, lam, pca = _pca(Psi, keep=bits)
     rank = int((lam > 1e-10 * max(lam[0], np.finfo(np.float64).tiny)).sum())
     if bits > rank:
         raise ValueError(
             f"bits={bits} exceeds the training covariance rank ({rank}); "
             "use more/denser training signatures or fewer bits"
         )
-    pca = P[:, order[:bits]]
     V = Xc @ pca
     R = _orthogonal_init(bits, seed)
     errors = np.empty(iters)

@@ -8,15 +8,18 @@ to one:
   ``0.5*||x - C g||^2 + 0.5*mu*||g||^2 * sum_j a_j`` in closed form, where
   ``a_j = ||x - v_j||_1^3``.
 * ``faemb_gamma`` minimizes ``0.5*||x - C g||^2 + 0.5*mu*sum_j |g_j| a_j``
-  by an equality-constrained Newton iteration on the sign-linearized
+  by a damped equality-constrained Newton iteration on the sign-linearized
   objective (``sign(0) = 0``), followed by an exact active-set refinement
   over sign orthants.  The distance-weighted absolute values act like a
   weighted lasso, so minimizers may pin coefficients exactly to zero; the
   refinement handles those kinks that the plain damped iteration cannot.
 
-``train_coding`` alternates per-sample coefficient solves with a damped
-Newton update of the anchors (``update_anchors``), keeping the batch
-objective non-increasing.
+Both coders work on column-stacked batches (``ffaemb_gamma_batch``,
+``faemb_gamma_batch``); the single-descriptor functions are views of them.
+
+``train_coding`` alternates per-sample coefficient solves with exact
+coordinate-descent updates of the anchors (``update_anchors``), keeping the
+batch objective non-increasing.
 """
 
 from __future__ import annotations
@@ -156,13 +159,15 @@ class NewtonSolution:
 
 @dataclass(frozen=True)
 class BatchNewtonSolution:
-    """Vectorized counterpart of :class:`NewtonSolution`; arrays over samples.
+    """Result of one ``faemb_gamma_batch`` solve; arrays over samples.
 
+    Fields mean what they mean in :class:`NewtonSolution`, per column.
     ``decrement_iterations`` uses -1 where the criterion was never met.
     """
 
     gamma: np.ndarray
     iterations: np.ndarray
+    refine_steps: np.ndarray
     decrement_iterations: np.ndarray
     stationarity: np.ndarray
     kkt_residual: np.ndarray
@@ -240,15 +245,27 @@ def _penalty_weights(X: np.ndarray, model: CodingModel) -> np.ndarray:
     return 0.5 * model.mu * l1_dist_cubed_batch(X, model.anchors)
 
 
-def _bordered_inverse(H: np.ndarray) -> np.ndarray:
-    """Inverse of ``[[H, 1], [1^T, 0]]``; raises SingularSystemError."""
+def _as_column(x: np.ndarray, model: CodingModel) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.dim,):
+        raise ValueError(f"x must have shape ({model.dim},), got {x.shape}")
+    return x[:, None]
+
+
+def _bordered(H: np.ndarray) -> np.ndarray:
+    """The KKT matrix ``[[H, 1], [1^T, 0]]`` of a sum-to-one quadratic."""
     n = H.shape[0]
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = H
     M[n, :n] = 1.0
     M[:n, n] = 1.0
+    return M
+
+
+def _bordered_inverse(H: np.ndarray) -> np.ndarray:
+    """Inverse of ``[[H, 1], [1^T, 0]]``; raises SingularSystemError."""
     try:
-        return np.linalg.inv(M)
+        return np.linalg.inv(_bordered(H))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "the constrained coding system is singular; use regularization mu > 0 "
@@ -277,38 +294,17 @@ def gamma_gradient(x: np.ndarray, gamma: np.ndarray, model: CodingModel) -> np.n
 
 
 def ffaemb_gamma(x: np.ndarray, model: CodingModel) -> np.ndarray:
-    """Closed-form sum-to-one coefficients for the ridge-style objective."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dim:
-        raise ValueError(f"x must have shape ({model.dim},), got {x.shape}")
-    C = model.anchors
-    n = model.n_anchors
-    a_total = l1_dist_cubed(x, C).sum()
-    G = C.T @ C + (model.mu * a_total) * np.eye(n)
-    rhs = np.empty((n, 2))
-    rhs[:, 0] = C.T @ x
-    rhs[:, 1] = 1.0
-    try:
-        sol = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "coding system is singular (rank-deficient anchors with mu == 0); "
-            "set mu > 0 to regularize"
-        ) from exc
-    y1, y2 = sol[:, 0], sol[:, 1]
-    lam = (y1.sum() - 1.0) / y2.sum()
-    gamma = y1 - lam * y2
-    if not np.isfinite(gamma).all():
-        raise SingularSystemError(
-            "coding solve produced non-finite coefficients; set mu > 0 to regularize"
-        )
-    return gamma
+    """Closed-form sum-to-one coefficients for the ridge-style objective.
+
+    Single-descriptor view of :func:`ffaemb_gamma_batch`.
+    """
+    return ffaemb_gamma_batch(_as_column(x, model), model)[:, 0]
 
 
 def ffaemb_gamma_batch(
     X: np.ndarray, model: CodingModel, chunk: int = 8192
 ) -> np.ndarray:
-    """Vectorized :func:`ffaemb_gamma` over column-stacked descriptors.
+    """Closed-form coefficients for column-stacked descriptors.
 
     ``X`` has shape ``(d, m)``; returns coefficients ``(n, m)``.
     """
@@ -348,7 +344,7 @@ def ffaemb_gamma_batch(
 
 
 # ---------------------------------------------------------------------------
-# Newton coder (scalar)
+# Newton coder
 
 
 def faemb_gamma(
@@ -356,185 +352,33 @@ def faemb_gamma(
 ) -> NewtonSolution:
     """Sum-to-one coefficients for the kinked (absolute-value) objective.
 
-    Phase 1 runs the damped equality-constrained Newton iteration with a
-    fixed step ``params.newton_step``, stopping at the decrement criterion
-    ``delta^2/2 <= params.newton_tol``, at objective stagnation, or at
-    ``params.newton_max_iters``.  Phase 2 refines to the exact minimizer by
-    walking sign orthants (each step solves the KKT system restricted to the
-    orthant's support and either accepts it or clamps/releases a coordinate).
+    Single-descriptor view of :func:`faemb_gamma_batch`.
     """
-    params = params or SolverParams()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dim:
-        raise ValueError(f"x must have shape ({model.dim},), got {x.shape}")
-    C = model.anchors
-    n = model.n_anchors
-    H = C.T @ C
-    Ctx = C.T @ x
-    w_pen = 0.5 * model.mu * l1_dist_cubed(x, C)
-    scale = max(1.0, np.abs(Ctx).max(), w_pen.max() if n else 0.0)
-    Minv_left = _bordered_inverse(H)[:, :n]
-
-    def q(g: np.ndarray) -> float:
-        r = x - C @ g
-        return 0.5 * float(r @ r) + float(np.abs(g) @ w_pen)
-
-    gamma = np.full(n, 1.0 / n)
-    dec_iter: int | None = None
-    best_q = q(gamma)
-    best_iter = 0
-    it = 0
-    for it in range(1, params.newton_max_iters + 1):
-        g = H @ gamma - Ctx + w_pen * np.sign(gamma)
-        sol = Minv_left @ g
-        dgamma = -sol[:n]
-        delta2 = max(-float(g @ dgamma), 0.0)
-        if 0.5 * delta2 <= params.newton_tol:
-            dec_iter = it
-            break
-        gamma = gamma + params.newton_step * dgamma
-        if not np.isfinite(gamma).all():
-            raise SingularSystemError(
-                "Newton iteration diverged; anchors may be rank-deficient (set mu > 0)"
-            )
-        qc = q(gamma)
-        if qc < best_q - 1e-13 * max(best_q, 1.0):
-            best_q, best_iter = qc, it
-        elif it - best_iter >= _STALL_WINDOW:
-            break
-
-    if model.mu == 0.0 or w_pen.max() == 0.0:
-        gamma, refine = _lstsq_orthant(H, Ctx, n), 1
-        gs = H @ gamma - Ctx
-        lam = -float(gs.mean())
-        resid = float(np.abs(gs + lam).max())
-        return NewtonSolution(
-            gamma=gamma,
-            iterations=it,
-            refine_steps=refine,
-            decrement_iteration=dec_iter,
-            stationarity=resid,
-            kkt_residual=resid,
-            converged=resid <= STATIONARITY_TOL,
-        )
-
-    sigma = np.sign(gamma)
-    if dec_iter is None:
-        # warm sign pattern from the closed-form ridge solution
-        ridge = ffaemb_gamma(x, model)
-        thresh = 0.05 * np.abs(ridge).max()
-        sigma = np.where(np.abs(ridge) > thresh, np.sign(ridge), 0.0)
-    if not sigma.any():
-        sigma = np.ones(n)
-
-    gamma, lam, refine = _orthant_walk(H, Ctx, w_pen, gamma, sigma, scale)
-    gs = H @ gamma - Ctx
-    g = gs + w_pen * np.sign(gamma)
-    stationarity = float(np.abs(g + lam).max())
-    kkt = np.where(
-        gamma == 0.0,
-        np.maximum(np.abs(gs + lam) - w_pen, 0.0),
-        np.abs(g + lam),
-    )
-    kkt_residual = float(kkt.max())
+    sol = faemb_gamma_batch(_as_column(x, model), model, params)
+    dec = int(sol.decrement_iterations[0])
     return NewtonSolution(
-        gamma=gamma,
-        iterations=it,
-        refine_steps=refine,
-        decrement_iteration=dec_iter,
-        stationarity=stationarity,
-        kkt_residual=kkt_residual,
-        converged=kkt_residual <= STATIONARITY_TOL,
+        gamma=sol.gamma[:, 0],
+        iterations=int(sol.iterations[0]),
+        refine_steps=int(sol.refine_steps[0]),
+        decrement_iteration=dec if dec >= 0 else None,
+        stationarity=float(sol.stationarity[0]),
+        kkt_residual=float(sol.kkt_residual[0]),
+        converged=bool(sol.converged[0]),
     )
-
-
-def _lstsq_orthant(H: np.ndarray, Ctx: np.ndarray, n: int) -> np.ndarray:
-    """Exact sum-to-one least-squares coefficients (no kink term)."""
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = H
-    A[n, :n] = 1.0
-    A[:n, n] = 1.0
-    b = np.concatenate([Ctx, [1.0]])
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "the constrained coding system is singular; use regularization mu > 0 "
-            "or full-rank anchors"
-        ) from exc
-    return sol[:n]
-
-
-def _orthant_walk(
-    H: np.ndarray,
-    Ctx: np.ndarray,
-    w_pen: np.ndarray,
-    gamma: np.ndarray,
-    sigma: np.ndarray,
-    scale: float,
-) -> tuple[np.ndarray, float, int]:
-    """Active-set refinement: returns (gamma, multiplier, steps taken)."""
-    n = H.shape[0]
-    lam = 0.0
-    releases = 0
-    steps = 0
-    for steps in range(1, 6 * n + 1):
-        free = np.flatnonzero(sigma)
-        k = len(free)
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = H[np.ix_(free, free)]
-        A[k, :k] = 1.0
-        A[:k, k] = 1.0
-        b = np.concatenate([Ctx[free] - w_pen[free] * sigma[free], [1.0]])
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            A[:k, :k] += 1e-12 * scale * np.eye(k)
-            sol = np.linalg.solve(A, b)
-        gstar = np.zeros(n)
-        gstar[free] = sol[:k]
-        lam = float(sol[k])
-        if np.all(gstar[free] * sigma[free] >= -1e-12 * max(1.0, np.abs(gstar).max())):
-            gamma = gstar
-            gs = H @ gamma - Ctx
-            viol = np.abs(gs + lam) - w_pen
-            viol[free] = -np.inf
-            j = int(viol.argmax())
-            if viol[j] > 1e-10 * scale and releases < 2 * n + 4:
-                releases += 1
-                s = -np.sign(gs[j] + lam)
-                sigma[j] = s if s != 0 else 1.0
-                continue
-            break
-        diff = gstar - gamma
-        crossing = (sigma != 0) & (gstar * sigma < 0) & (np.abs(diff) > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.where(crossing, gamma / -diff, np.inf)
-        theta = np.where(theta > 0, theta, np.inf)
-        j = int(theta.argmin())
-        tj = theta[j]
-        if not np.isfinite(tj) or tj >= 1.0:
-            gamma = gstar
-            sigma = np.sign(gamma)
-            if not sigma.any():
-                sigma[int(w_pen.argmin())] = 1.0
-            continue
-        gamma = gamma + tj * diff
-        gamma[j] = 0.0
-        sigma[j] = 0.0
-        if not sigma.any():
-            sigma[int(w_pen.argmin())] = 1.0
-    return gamma, lam, steps
-
-
-# ---------------------------------------------------------------------------
-# Newton coder (vectorized batch)
 
 
 def faemb_gamma_batch(
     X: np.ndarray, model: CodingModel, params: SolverParams | None = None
 ) -> BatchNewtonSolution:
-    """Vectorized :func:`faemb_gamma` over column-stacked descriptors."""
+    """Coefficients for the kinked objective, column-stacked descriptors.
+
+    Phase 1 runs the damped equality-constrained Newton iteration with a
+    fixed step ``params.newton_step``, stopping each column at the decrement
+    criterion ``delta^2/2 <= params.newton_tol``, at objective stagnation, or
+    at ``params.newton_max_iters``.  Phase 2 refines to the exact minimizer by
+    walking sign orthants (each step solves the KKT system restricted to the
+    orthant's support and either accepts it or clamps/releases a coordinate).
+    """
     params = params or SolverParams()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != model.dim:
@@ -548,50 +392,49 @@ def faemb_gamma_batch(
     scale = max(1.0, np.abs(CtX).max(), W.max())
     Minv_left = _bordered_inverse(H)[:, :n]
 
-    def q_cols(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        R = X[:, cols] - C @ G
-        return 0.5 * (R * R).sum(axis=0) + (np.abs(G) * W[:, cols]).sum(axis=0)
+    def q_cols(G: np.ndarray, Xa: np.ndarray, Wa: np.ndarray) -> np.ndarray:
+        R = Xa - C @ G
+        return 0.5 * (R * R).sum(axis=0) + (np.abs(G) * Wa).sum(axis=0)
 
     Gam = np.full((n, m), 1.0 / n)
     dec = np.full(m, -1, dtype=np.int64)
-    iters = np.zeros(m, dtype=np.int64)
-    best_q = q_cols(Gam, np.arange(m))
+    iters = np.full(m, params.newton_max_iters, dtype=np.int64)
+    # the columns still iterating, with their slices of the inputs; a column
+    # is written back to Gam and dropped once it stops
+    cols = np.arange(m)
+    G, Xa, Ca, Wa = Gam.copy(), X, CtX, W
+    best_q = q_cols(G, Xa, Wa)
     best_it = np.zeros(m, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
     for it in range(1, params.newton_max_iters + 1):
-        if not active.any():
-            break
-        ai = np.flatnonzero(active)
-        Ga = Gam[:, ai]
-        Grad = H @ Ga - CtX[:, ai] + W[:, ai] * np.sign(Ga)
+        Grad = H @ G - Ca + Wa * np.sign(G)
         Dg = -(Minv_left @ Grad)[:n]
         delta2 = np.maximum(-(Grad * Dg).sum(axis=0), 0.0)
-        iters[ai] = it
         hit = 0.5 * delta2 <= params.newton_tol
-        first = hit & (dec[ai] < 0)
-        dec[ai[first]] = it
-        Ga = Ga + params.newton_step * Dg
-        Gam[:, ai] = Ga
-        qn = q_cols(Ga, ai)
-        improved = qn < best_q[ai] - 1e-13 * np.maximum(best_q[ai], 1.0)
-        best_q[ai[improved]] = qn[improved]
-        best_it[ai[improved]] = it
-        stalled = (it - best_it[ai]) >= _STALL_WINDOW
-        active[ai[hit | stalled]] = False
+        G = G + params.newton_step * Dg
+        qn = q_cols(G, Xa, Wa)
+        improved = qn < best_q - 1e-13 * np.maximum(best_q, 1.0)
+        best_q = np.where(improved, qn, best_q)
+        best_it[improved] = it
+        stop = hit | ((it - best_it) >= _STALL_WINDOW)
+        if stop.any():
+            Gam[:, cols[stop]] = G[:, stop]
+            iters[cols[stop]] = it
+            dec[cols[hit]] = it
+            go = ~stop
+            cols, G, Xa, Ca, Wa = cols[go], G[:, go], Xa[:, go], Ca[:, go], Wa[:, go]
+            best_q, best_it = best_q[go], best_it[go]
+            if not cols.size:
+                break
+    Gam[:, cols] = G  # columns that used up newton_max_iters
     if not np.isfinite(Gam).all():
         raise SingularSystemError(
             "Newton iteration diverged; anchors may be rank-deficient (set mu > 0)"
         )
 
     if model.mu == 0.0 or W.max() == 0.0:
-        ones = np.ones(n)
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = H
-        A[n, :n] = 1.0
-        A[:n, n] = 1.0
         rhs = np.concatenate([CtX, np.ones((1, m))], axis=0)
         try:
-            sol = np.linalg.solve(A, rhs)
+            sol = np.linalg.solve(_bordered(H), rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "the constrained coding system is singular; use regularization "
@@ -604,6 +447,7 @@ def faemb_gamma_batch(
         return BatchNewtonSolution(
             gamma=Gam,
             iterations=iters,
+            refine_steps=np.ones(m, dtype=np.int64),
             decrement_iterations=dec,
             stationarity=resid,
             kkt_residual=resid.copy(),
@@ -623,7 +467,7 @@ def faemb_gamma_batch(
         sig[:, empty] = 1.0
 
     lam_final = np.zeros(m)
-    _orthant_walk_batch(H, CtX, W, Gam, sig, lam_final, scale)
+    refine = _orthant_walk_batch(H, CtX, W, Gam, sig, lam_final, scale)
 
     gs = H @ Gam - CtX
     g = gs + W * np.sign(Gam)
@@ -636,6 +480,7 @@ def faemb_gamma_batch(
     return BatchNewtonSolution(
         gamma=Gam,
         iterations=iters,
+        refine_steps=refine,
         decrement_iterations=dec,
         stationarity=stationarity,
         kkt_residual=kkt,
@@ -651,33 +496,32 @@ def _orthant_walk_batch(
     sig: np.ndarray,
     lam_out: np.ndarray,
     scale: float,
-) -> None:
-    """Vectorized active-set refinement; updates Gam, sig, lam_out in place."""
+) -> np.ndarray:
+    """Active-set refinement from the starting points Gam and sign patterns sig.
+
+    Writes each column's result into Gam and its multiplier into lam_out;
+    returns the number of orthant solves each column took.
+    """
     n, m = Gam.shape
-    M0 = np.zeros((n + 1, n + 1))
-    M0[:n, :n] = H
-    M0[n, :n] = 1.0
-    M0[:n, n] = 1.0
-    todo = np.ones(m, dtype=bool)
+    M0 = _bordered(H)
+    diag = np.arange(n)
+    steps = np.full(m, 6 * n, dtype=np.int64)
+    # the columns still walking, with their slices of the inputs; a column
+    # is written back to Gam and lam_out and dropped once it is done
+    cols = np.arange(m)
+    G, S, Ct, Wt = Gam.copy(), sig.copy(), CtX, W
+    L = np.zeros(m)
     releases = np.zeros(m, dtype=np.int64)
-    for _ in range(6 * n):
-        if not todo.any():
-            break
-        ti = np.flatnonzero(todo)
-        k = len(ti)
-        S = sig[:, ti]
+    for step in range(1, 6 * n + 1):
+        k = cols.size
         clamped = S == 0  # (n, k)
-        A = np.broadcast_to(M0, (k, n + 1, n + 1)).copy()
-        for j in range(n):
-            cm = clamped[j]
-            if cm.any():
-                A[cm, j, :] = 0.0
-                A[cm, :, j] = 0.0
-                A[cm, j, j] = 1.0
-        rhs = np.empty((k, n + 1))
-        rhs[:, :n] = (CtX[:, ti] - W[:, ti] * S).T
-        rhs[:, :n][clamped.T] = 0.0
-        rhs[:, n] = 1.0
+        # a clamped coordinate's row and column reduce to the identity
+        free = np.ones((k, n + 1), dtype=bool)
+        free[:, :n] = ~clamped.T
+        A = np.where(free[:, :, None] & free[:, None, :], M0, 0.0)
+        A[:, diag, diag] += clamped.T
+        rhs = np.ones((k, n + 1))
+        rhs[:, :n] = np.where(clamped, 0.0, Ct - Wt * S).T
         try:
             sol = np.linalg.solve(A, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -687,54 +531,62 @@ def _orthant_walk_batch(
         lam = sol[:, n]
         gscale = np.maximum(1.0, np.abs(Gstar).max(axis=0))
         consistent = np.all(Gstar * S >= -1e-12 * gscale, axis=0)
+        done = np.zeros(k, dtype=bool)
 
-        if consistent.any():
-            ci = ti[consistent]
-            Gam[:, ci] = Gstar[:, consistent]
-            lam_out[ci] = lam[consistent]
-            gs = H @ Gam[:, ci] - CtX[:, ci]
-            viol = np.abs(gs + lam[consistent]) - W[:, ci]
-            viol[~clamped[:, consistent]] = -np.inf
-            vmax = viol.max(axis=0)
-            done = (vmax <= 1e-10 * scale) | (releases[ci] >= 2 * n + 4)
-            todo[ci[done]] = False
-            rel = ~done
-            if rel.any():
-                rci = ci[rel]
-                releases[rci] += 1
+        pc = np.flatnonzero(consistent)
+        if pc.size:
+            Gc, lc = Gstar[:, pc], lam[pc]
+            G[:, pc] = Gc
+            L[pc] = lc
+            gs = H @ Gc - Ct[:, pc]
+            viol = np.abs(gs + lc) - Wt[:, pc]
+            viol[~clamped[:, pc]] = -np.inf
+            done[pc] = (viol.max(axis=0) <= 1e-10 * scale) | (releases[pc] >= 2 * n + 4)
+            rel = np.flatnonzero(~done[pc])
+            if rel.size:
+                releases[pc[rel]] += 1
                 jrel = viol[:, rel].argmax(axis=0)
-                picked = gs[jrel, np.flatnonzero(rel)] + lam[consistent][rel]
-                s = -np.sign(picked)
+                s = -np.sign(gs[jrel, rel] + lc[rel])
                 s[s == 0] = 1.0
-                sig[jrel, rci] = s
+                S[jrel, pc[rel]] = s
 
-        inconsistent = ~consistent
-        if inconsistent.any():
-            ii = ti[inconsistent]
-            Gc = Gam[:, ii]
-            Gi = Gstar[:, inconsistent]
-            Si = S[:, inconsistent]
+        pi = np.flatnonzero(~consistent)
+        if pi.size:
+            Gc, Gi, Si = G[:, pi], Gstar[:, pi], S[:, pi]
             diff = Gi - Gc
             crossing = (Si != 0) & (Gi * Si < 0) & (np.abs(diff) > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.where(crossing, Gc / -diff, np.inf)
+            theta = np.full(diff.shape, np.inf)
+            np.divide(Gc, -diff, out=theta, where=crossing)
             theta = np.where(theta > 0, theta, np.inf)
             jmin = theta.argmin(axis=0)
-            cols = np.arange(len(ii))
-            tmin = theta[jmin, cols]
+            at = np.arange(pi.size)
+            tmin = theta[jmin, at]
             ok = np.isfinite(tmin) & (tmin < 1.0)
             Gn = Gc + np.where(ok, tmin, 1.0)[None, :] * diff
-            Gn[jmin[ok], cols[ok]] = 0.0
-            sig[jmin[ok], ii[ok]] = 0.0
+            Gn[jmin[ok], at[ok]] = 0.0
+            Si[jmin[ok], at[ok]] = 0.0
             full = ~ok
             if full.any():
-                sig[:, ii[full]] = np.sign(Gn[:, full])
-            Gam[:, ii] = Gn
-            empty = ~sig[:, ii].any(axis=0)
-            if empty.any():
-                cols_e = ii[empty]
-                jbest = W[:, cols_e].argmin(axis=0)
-                sig[jbest, cols_e] = 1.0
+                Si[:, full] = np.sign(Gn[:, full])
+            empty = np.flatnonzero(~Si.any(axis=0))
+            if empty.size:
+                Si[Wt[:, pi[empty]].argmin(axis=0), empty] = 1.0
+            G[:, pi] = Gn
+            S[:, pi] = Si
+
+        if done.any():
+            fin = cols[done]
+            Gam[:, fin] = G[:, done]
+            lam_out[fin] = L[done]
+            steps[fin] = step
+            go = ~done
+            cols, G, S, Ct, Wt = cols[go], G[:, go], S[:, go], Ct[:, go], Wt[:, go]
+            L, releases = L[go], releases[go]
+            if not cols.size:
+                break
+    Gam[:, cols] = G  # columns that used up their 6 n steps
+    lam_out[cols] = L
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -966,76 +818,21 @@ def update_anchors(
     Gamma: np.ndarray,
     c_init: np.ndarray,
     model: CodingModel,
-    max_inner: int = 50,
-    grad_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Damped Newton descent on the anchors for fixed coefficients.
+    """Exact coordinate descent on the anchors for fixed coefficients.
 
-    The Hessian couples anchors through the reconstruction term
-    (``Gamma @ Gamma.T`` blocks) and adds a per-anchor block for the cubed
-    L1 penalty.  Because that penalty kinks wherever an anchor coordinate
-    ties a descriptor coordinate, the Newton phase is finished by exact
-    coordinate-descent sweeps that land on the kinks; see
-    :func:`_anchor_cd_sweeps`.  A backtracking line search keeps the batch
-    objective non-increasing; the returned anchors never score worse than
-    ``c_init``.
+    Runs the sweeps of :func:`_anchor_cd_sweeps` from ``c_init``; the
+    returned anchors never score worse than ``c_init`` on the batch
+    objective.
     """
     X = np.asarray(X, dtype=np.float64)
     Gamma = np.asarray(Gamma, dtype=np.float64)
     C = np.array(c_init, dtype=np.float64, copy=True)
-    d, m = X.shape
-    n = C.shape[1]
-    mu, variant = model.mu, model.variant
-    probe = replace(model, anchors=C)
-
-    def value(anchors: np.ndarray) -> float:
-        return objective(X, Gamma, replace(probe, anchors=anchors))
-
-    GGt = Gamma @ Gamma.T
-    H_rec = np.kron(GGt, np.eye(d)) / m
-    Wp = None
-    if mu > 0.0:
-        Wp = np.abs(Gamma) if variant == "faemb" else np.broadcast_to(
-            (Gamma * Gamma).sum(axis=0), (n, m)
-        )
-    q = value(C)
-    for _ in range(max_inner):
-        g = anchor_gradient(X, Gamma, C, mu, variant)
-        if np.abs(g).max() <= grad_tol * (1.0 + abs(q)):
-            break
-        Hfull = H_rec.copy()
-        if mu > 0.0:
-            for j in range(n):
-                diff = C[:, j : j + 1] - X
-                l1 = np.abs(diff).sum(axis=0)
-                S = np.sign(diff)
-                block = (3.0 * mu / m) * ((S * (Wp[j] * l1)) @ S.T)
-                lo = j * d
-                Hfull[lo : lo + d, lo : lo + d] += block
-        tau = 1e-10 * (1.0 + np.trace(Hfull) / (n * d))
-        Hfull[np.diag_indices_from(Hfull)] += tau
-        gv = g.flatten(order="F")
-        try:
-            pv = -np.linalg.solve(Hfull, gv)
-        except np.linalg.LinAlgError:
-            break
-        P = pv.reshape((d, n), order="F")
-        slope = float(gv @ pv)
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            trial = C + alpha * P
-            qt = value(trial)
-            if qt <= q + 1e-4 * alpha * slope or qt <= q - 1e-15:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        C, q = trial, qt
-    polished = _anchor_cd_sweeps(X, Gamma, C, mu, variant)
-    if value(polished) <= q:
-        C = polished
+    polished = _anchor_cd_sweeps(X, Gamma, C, model.mu, model.variant)
+    if objective(X, Gamma, replace(model, anchors=polished)) <= objective(
+        X, Gamma, replace(model, anchors=C)
+    ):
+        return polished
     return C
 
 

@@ -61,6 +61,9 @@ class TestWhitening:
         Phi = rng.standard_normal((40, 4))
         model = fit_whitening(Phi, drop=1)
         W = whiten_batch(Phi, model)
+        scale = np.sqrt(np.maximum(model.eigenvalues, model.eps))
+        by_hand = ((Phi - Phi.mean(axis=0)) @ model.projection / scale)[:, 1:]
+        np.testing.assert_allclose(W, by_hand, atol=1e-12)
         for i in range(0, 40, 7):
             np.testing.assert_allclose(whiten(Phi[i], model), W[i], atol=1e-12)
 

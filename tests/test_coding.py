@@ -104,6 +104,7 @@ class TestFfaembGamma:
         model = CodingModel(anchors=C, mu=3e-3, variant="ffaemb")
         batch = ffaemb_gamma_batch(X, model)
         for i in range(40):
+            np.testing.assert_allclose(batch[:, i], ffaemb_oracle(X[:, i], C, 3e-3), atol=1e-9)
             np.testing.assert_allclose(batch[:, i], ffaemb_gamma(X[:, i], model), atol=1e-12)
 
     def test_batch_chunking_is_invisible(self):
@@ -182,10 +183,27 @@ class TestFaembGamma:
             model = CodingModel(anchors=C, mu=mu, variant="faemb")
             batch = faemb_gamma_batch(X, model)
             for i in range(60):
-                sol = faemb_gamma(X[:, i], model)
+                x = X[:, i]
+                if mu == 0.0:
+                    np.testing.assert_allclose(batch.gamma[:, i], ls_simplex_oracle(x, C), atol=1e-6)
+                elif i % 6 == 0:  # the exhaustive oracle is slow
+                    np.testing.assert_allclose(batch.gamma[:, i], faemb_oracle(x, C, mu), atol=1e-6)
+                sol = faemb_gamma(x, model)
                 np.testing.assert_allclose(batch.gamma[:, i], sol.gamma, atol=1e-8)
             assert batch.converged.all()
             assert batch.kkt_residual.max() <= 1e-5
+
+    def test_refine_steps_per_column(self):
+        rng = np.random.default_rng(27)
+        C = rng.standard_normal((8, 5))
+        X = rng.standard_normal((8, 12))
+        for mu in (0.0, 1e-2, 0.5):
+            model = CodingModel(anchors=C, mu=mu, variant="faemb")
+            steps = faemb_gamma_batch(X, model).refine_steps
+            assert steps.shape == (12,)
+            assert (steps >= 1).all()
+            for i in range(12):
+                assert faemb_gamma(X[:, i], model).refine_steps == steps[i]
 
     def test_solution_is_sparse_when_penalty_dominates(self):
         rng = np.random.default_rng(26)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faemb.coding import CodingModel, ffaemb_gamma
+from faemb.coding import CodingModel, ffaemb_gamma, ffaemb_gamma_batch
 from faemb.embed import (
     BoundInputs,
     EmbeddingConfig,
@@ -92,11 +92,14 @@ class TestEmbedFaemb:
         C = rng.standard_normal((d, n))
         X = rng.standard_normal((d, m))
         model = CodingModel(anchors=C, mu=1e-2, variant="ffaemb")
-        Gamma = np.stack([ffaemb_gamma(X[:, i], model) for i in range(m)], axis=1)
+        Gamma = ffaemb_gamma_batch(X, model)
         cfg = EmbeddingConfig(s1=0.2, s2=0.4)
         batch = embed_faemb_batch(X, Gamma, model, cfg)
         assert batch.shape == (m, embedding_length(n, d, cfg))
         for i in range(m):
+            np.testing.assert_allclose(
+                batch[i], embed_naive(X[:, i], Gamma[:, i], C, 0.2, 0.4), atol=1e-12
+            )
             np.testing.assert_allclose(
                 batch[i], embed_faemb(X[:, i], Gamma[:, i], model, cfg), atol=1e-12
             )
