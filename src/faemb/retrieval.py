@@ -129,7 +129,8 @@ def search(
         if q.shape != (index.width,):
             raise ValueError(f"query length {q.shape} != index width {index.width}")
         diff = index.vectors - q
-        dist = np.sqrt((diff * diff).sum(axis=1))
+        # squared in place: one N x D temporary per query instead of two
+        dist = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     else:
         dist = _POPCOUNT[np.bitwise_xor(index.vectors, q)].sum(axis=1).astype(np.float64)
     order = np.argsort(dist, kind="stable")

@@ -14,18 +14,28 @@ Model container (magic ``FAMB``)::
     table: per section: name_len u32 | name utf-8 | offset u64 | length u64
     blobs: kind u32 (0=f64, 1=i64, 2=u8, 3=utf8) | ndim u32 | shape u64*ndim
            | payload | CRC32 u32 over kind..payload
+    (a utf8 blob has ndim 1 and its shape is the byte length; arrays are
+    row-major; offsets count from the start of the file)
 
 Containers written by an older minor version load fine; an unknown major
 version is refused.  Every loader verifies magic, structure, and checksums
 and raises :class:`StorageError` on any mismatch.
+
+Writers stream each section from its array straight to the open file, with
+a running CRC, so no image of the whole file is built in memory.  The
+container reader checks every size against the file's length before it
+reads, then reads the header, the table and one section at a time.
+Streaming changes no byte of the layouts above.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -79,27 +89,27 @@ def save_descriptors(path: str | Path, sets: list[DescriptorSet]) -> None:
     for s in sets:
         if s.dim != dim:
             raise ValueError(f"mixed descriptor dims: {dim} vs {s.dim} ({s.image_id!r})")
-    payload = bytearray()
-    for s in sets:
-        ident = s.image_id.encode("utf-8")
-        payload += struct.pack("<I", len(ident))
-        payload += ident
-        payload += struct.pack("<Q", s.count)
-        payload += np.ascontiguousarray(s.descriptors, dtype="<f4").tobytes()
-    blob = struct.pack("<4sIIQ", _DESC_MAGIC, 1, dim, len(sets))
-    blob += payload
-    blob += struct.pack("<I", zlib.crc32(bytes(payload)))
-    Path(path).write_bytes(blob)
+    crc = 0
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIIQ", _DESC_MAGIC, 1, dim, len(sets)))
+        for s in sets:
+            ident = s.image_id.encode("utf-8")
+            record = struct.pack("<I", len(ident)) + ident + struct.pack("<Q", s.count)
+            values = np.ascontiguousarray(s.descriptors, dtype="<f4")
+            for part in (record, values):
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
-def _take(buf: bytes, pos: int, size: int, what: str) -> tuple[bytes, int]:
+def _take(buf: memoryview, pos: int, size: int, what: str) -> tuple[memoryview, int]:
     if pos + size > len(buf):
         raise StorageError(f"truncated file: expected {size} more bytes for {what}")
     return buf[pos : pos + size], pos + size
 
 
 def load_descriptors(path: str | Path) -> list[DescriptorSet]:
-    buf = Path(path).read_bytes()
+    buf = memoryview(Path(path).read_bytes())
     head, pos = _take(buf, 0, 20, "header")
     magic, version, dim, count = struct.unpack("<4sIIQ", head)
     if magic != _DESC_MAGIC:
@@ -118,7 +128,7 @@ def load_descriptors(path: str | Path) -> list[DescriptorSet]:
         raw, pos = _take(payload, pos, 4, "id length")
         (id_len,) = struct.unpack("<I", raw)
         raw, pos = _take(payload, pos, id_len, "image id")
-        image_id = raw.decode("utf-8")
+        image_id = str(raw, "utf-8")
         raw, pos = _take(payload, pos, 8, "descriptor count")
         (n_desc,) = struct.unpack("<Q", raw)
         raw, pos = _take(payload, pos, 4 * n_desc * dim, f"descriptors of {image_id!r}")
@@ -179,7 +189,8 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 # model containers
 
 
-def _encode_section(value: np.ndarray | str) -> bytes:
+def _encode_section(value: np.ndarray | str) -> tuple[bytes, bytes | np.ndarray, int]:
+    """Head, payload buffer (not a copy) and CRC32 of one section."""
     if isinstance(value, str):
         payload = value.encode("utf-8")
         head = struct.pack("<IIQ", _KIND_UTF8, 1, len(payload))
@@ -193,37 +204,44 @@ def _encode_section(value: np.ndarray | str) -> bytes:
             kind = _KIND_U8
         else:
             raise ValueError(f"unsupported array dtype {arr.dtype} for container")
-        payload = np.ascontiguousarray(arr, dtype=_KIND_DTYPES[kind]).tobytes()
+        # a flat byte view of the contiguous array, so len() is its size in bytes
+        flat = np.ascontiguousarray(arr, dtype=_KIND_DTYPES[kind]).reshape(-1)
+        payload = flat.view(np.uint8)
         head = struct.pack("<II", kind, arr.ndim)
         head += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    body = head + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return head, payload, zlib.crc32(payload, zlib.crc32(head))
 
 
 def write_container(
     path: str | Path, sections: dict[str, np.ndarray | str], minor: int = FORMAT_MINOR
 ) -> None:
-    """Write named typed arrays (or utf-8 strings) to a model container."""
+    """Write named typed arrays (or utf-8 strings) to a model container.
+
+    Each section goes from its array straight to the open file.
+    """
     if not sections:
         raise ValueError("refusing to write an empty container")
-    blobs = {name: _encode_section(value) for name, value in sections.items()}
-    table_len = sum(4 + len(name.encode("utf-8")) + 16 for name in blobs)
-    offset = 16 + table_len
+    encoded = [
+        (name.encode("utf-8"), *_encode_section(value)) for name, value in sections.items()
+    ]
+    offset = 16 + sum(4 + len(raw) + 16 for raw, *_ in encoded)
     table = bytearray()
-    for name, blob in blobs.items():
-        raw = name.encode("utf-8")
+    for raw, head, payload, _ in encoded:
+        length = len(head) + len(payload) + 4
         table += struct.pack("<I", len(raw))
         table += raw
-        table += struct.pack("<QQ", offset, len(blob))
-        offset += len(blob)
-    out = struct.pack("<4sIII", _MODEL_MAGIC, FORMAT_MAJOR, minor, len(blobs))
-    out += bytes(table)
-    for blob in blobs.values():
-        out += blob
-    Path(path).write_bytes(out)
+        table += struct.pack("<QQ", offset, length)
+        offset += length
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIII", _MODEL_MAGIC, FORMAT_MAJOR, minor, len(encoded)))
+        f.write(table)
+        for _, head, payload, crc in encoded:
+            f.write(head)
+            f.write(payload)
+            f.write(struct.pack("<I", crc))
 
 
-def _decode_section(blob: bytes, name: str) -> np.ndarray | str:
+def _decode_section(blob: memoryview, name: str) -> np.ndarray | str:
     if len(blob) < 12:
         raise StorageError(f"section {name!r} too short")
     body, stored = blob[:-4], blob[-4:]
@@ -235,7 +253,7 @@ def _decode_section(blob: bytes, name: str) -> np.ndarray | str:
     shape = struct.unpack(f"<{ndim}Q", shape_raw) if ndim else ()
     payload = body[pos:]
     if kind == _KIND_UTF8:
-        return payload.decode("utf-8")
+        return str(payload, "utf-8")
     if kind not in _KIND_DTYPES:
         raise StorageError(f"section {name!r} has unknown kind tag {kind}")
     arr = np.frombuffer(payload, dtype=_KIND_DTYPES[kind])
@@ -244,29 +262,44 @@ def _decode_section(blob: bytes, name: str) -> np.ndarray | str:
     return arr.reshape(shape).copy()
 
 
+def _read(
+    f: BinaryIO, pos: int, size: int, file_size: int, what: str
+) -> tuple[memoryview, int]:
+    """Like :func:`_take` on an open file: the size check comes before any read."""
+    if pos + size <= file_size:
+        f.seek(pos)
+        raw = f.read(size)
+        if len(raw) == size:
+            return memoryview(raw), pos + size
+    raise StorageError(f"truncated file: expected {size} more bytes for {what}")
+
+
 def read_container(path: str | Path) -> dict[str, np.ndarray | str]:
-    buf = Path(path).read_bytes()
-    head, pos = _take(buf, 0, 16, "container header")
-    magic, major, minor, n_sections = struct.unpack("<4sIII", head)
-    if magic != _MODEL_MAGIC:
-        raise StorageError(f"bad magic {magic!r}; not a model container")
-    if major != FORMAT_MAJOR:
-        raise StorageError(
-            f"unsupported container major version {major} (supported: {FORMAT_MAJOR})"
-        )
-    table: list[tuple[str, int, int]] = []
-    for _ in range(n_sections):
-        raw, pos = _take(buf, pos, 4, "section name length")
-        (name_len,) = struct.unpack("<I", raw)
-        raw, pos = _take(buf, pos, name_len, "section name")
-        name = raw.decode("utf-8")
-        raw, pos = _take(buf, pos, 16, f"table entry for {name!r}")
-        off, length = struct.unpack("<QQ", raw)
-        table.append((name, off, length))
-    out: dict[str, np.ndarray | str] = {}
-    for name, off, length in table:
-        blob, _ = _take(buf, off, length, f"section {name!r}")
-        out[name] = _decode_section(blob, name)
+    """Read a model container: the header and table, then one section at a time."""
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        head, pos = _read(f, 0, 16, file_size, "container header")
+        magic, major, minor, n_sections = struct.unpack("<4sIII", head)
+        if magic != _MODEL_MAGIC:
+            raise StorageError(f"bad magic {magic!r}; not a model container")
+        if major != FORMAT_MAJOR:
+            raise StorageError(
+                f"unsupported container major version {major} (supported: {FORMAT_MAJOR})"
+            )
+        table: list[tuple[str, int, int]] = []
+        for _ in range(n_sections):
+            raw, pos = _read(f, pos, 4, file_size, "section name length")
+            (name_len,) = struct.unpack("<I", raw)
+            raw, pos = _read(f, pos, name_len, file_size, "section name")
+            name = str(raw, "utf-8")
+            raw, pos = _read(f, pos, 16, file_size, f"table entry for {name!r}")
+            off, length = struct.unpack("<QQ", raw)
+            table.append((name, off, length))
+        out: dict[str, np.ndarray | str] = {}
+        for name, off, length in table:
+            blob, _ = _read(f, off, length, file_size, f"section {name!r}")
+            out[name] = _decode_section(blob, name)
+            del blob  # release this section's bytes before the next one is read
     return out
 
 
@@ -375,7 +408,10 @@ def save_signatures(path: str | Path, signatures: list[ImageSignature]) -> None:
 
 
 def load_signatures(path: str | Path) -> list[ImageSignature]:
-    sections = read_container(path)
+    return _signatures_from_sections(read_container(path), path)
+
+
+def _signatures_from_sections(sections: dict, path) -> list[ImageSignature]:
     if _expect(sections, "model_type", path) != "signatures":
         raise StorageError(f"{path}: not a signature file")
     ids = json.loads(str(_expect(sections, "ids", path)))
@@ -408,7 +444,10 @@ def save_codes(path: str | Path, codes: list[BinaryCode]) -> None:
 
 
 def load_codes(path: str | Path) -> list[BinaryCode]:
-    sections = read_container(path)
+    return _codes_from_sections(read_container(path), path)
+
+
+def _codes_from_sections(sections: dict, path) -> list[BinaryCode]:
     if _expect(sections, "model_type", path) != "codes":
         raise StorageError(f"{path}: not a code file")
     ids = json.loads(str(_expect(sections, "ids", path)))

@@ -7,6 +7,8 @@ test that compares the two is a genuine cross-check.
 
 from __future__ import annotations
 
+import struct
+import zlib
 from itertools import product
 
 import numpy as np
@@ -194,3 +196,48 @@ def ap_naive(ranked_ids, relevant, junk=frozenset()):
             hits += 1
             total += hits / rank
     return total / len(relevant)
+
+
+def container_naive(sections, major=1, minor=0):
+    """A model container byte by byte, as the ``faemb.storage`` docstring lays it out.
+
+    A string is kind 3 with one dimension, its utf-8 byte length.
+    """
+    kind_and_code = {"float64": (0, "<d"), "int64": (1, "<q"), "uint8": (2, "<B")}
+    blobs = []
+    for name, value in sections.items():
+        if isinstance(value, str):
+            payload = value.encode("utf-8")
+            kind, shape = 3, [len(payload)]
+        else:
+            arr = np.asarray(value)
+            kind, code = kind_and_code[arr.dtype.name]
+            shape = list(arr.shape)
+            payload = b"".join(struct.pack(code, x) for x in arr.flat)
+        body = struct.pack("<II", kind, len(shape))
+        for extent in shape:
+            body += struct.pack("<Q", extent)
+        body += payload
+        blobs.append((name.encode("utf-8"), body + struct.pack("<I", zlib.crc32(body))))
+    offset = 16 + sum(4 + len(name) + 16 for name, _ in blobs)
+    out = struct.pack("<4sIII", b"FAMB", major, minor, len(blobs))
+    for name, blob in blobs:
+        out += struct.pack("<I", len(name)) + name + struct.pack("<QQ", offset, len(blob))
+        offset += len(blob)
+    for _, blob in blobs:
+        out += blob
+    return out
+
+
+def descriptor_file_naive(sets):
+    """A descriptor file byte by byte, as the ``faemb.storage`` docstring lays it out."""
+    dim = sets[0].descriptors.shape[1]
+    payload = b""
+    for s in sets:
+        ident = s.image_id.encode("utf-8")
+        payload += struct.pack("<I", len(ident)) + ident
+        payload += struct.pack("<Q", s.descriptors.shape[0])
+        for x in s.descriptors.flat:
+            payload += struct.pack("<f", x)
+    head = struct.pack("<4sIIQ", b"FAEB", 1, dim, len(sets))
+    return head + payload + struct.pack("<I", zlib.crc32(payload))

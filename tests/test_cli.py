@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faemb.cli
+import faemb.storage
 from faemb.cli import main
 from faemb.config import parse_config
 from faemb.storage import (
@@ -157,6 +160,26 @@ class TestSearch:
         )
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
+
+    def test_each_input_file_is_read_once(self, workspace, monkeypatch, capsys):
+        reads = []
+        read_container = faemb.storage.read_container
+
+        def counting_read(path):
+            reads.append(Path(path).name)
+            return read_container(path)
+
+        monkeypatch.setattr(faemb.cli, "read_container", counting_read)
+        monkeypatch.setattr(faemb.storage, "read_container", counting_read)
+        d = workspace / "clean"
+        run(
+            "search",
+            "--index", str(d / "index.famb"),
+            "--queries", str(d / "signatures.famb"),
+            "--query-id", "c000_i00",
+            "--k", "1",
+        )
+        assert sorted(reads) == ["index.famb", "signatures.famb"]
 
     def test_unknown_query_id_fails_cleanly(self, workspace, capsys):
         d = workspace / "clean"

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from oracles import container_naive, descriptor_file_naive
 
 from faemb.aggregate import ImageSignature
 from faemb.binary import BinaryCode, fit_itq
@@ -50,9 +52,19 @@ class TestDescriptorFiles:
         assert [s.image_id for s in loaded] == [s.image_id for s in sets]
         for a, b in zip(loaded, sets):
             # values are stored at single precision by design
+            assert a.descriptors.dtype == np.float64
             np.testing.assert_array_equal(
                 a.descriptors, b.descriptors.astype(np.float32).astype(np.float64)
             )
+
+    def test_bytes_match_reference_encoder(self, tmp_path):
+        rng = np.random.default_rng(15)
+        sets = toy_sets(rng, n_images=4) + [
+            DescriptorSet(image_id="ünï", descriptors=rng.standard_normal((2, 4)))
+        ]
+        path = tmp_path / "corpus.faeb"
+        save_descriptors(path, sets)
+        assert path.read_bytes() == descriptor_file_naive(sets)
 
     def test_variable_counts_per_image(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -198,6 +210,87 @@ class TestContainer:
         path.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match="checksum"):
             read_container(path)
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"text": "héllo world", "empty_text": ""},
+            {"f64": np.linspace(-1.0, 2.0, 12).reshape(3, 4)},
+            {"i64": np.array([[-(2**62), -1], [0, 2**62]], dtype=np.int64)},
+            {"u8": np.array([0, 1, 127, 255], dtype=np.uint8)},
+            {"f64_0d": np.float64(3.25), "i64_0d": np.int64(-7), "u8_0d": np.uint8(9)},
+            {
+                "none": np.zeros(0),
+                "no_rows": np.zeros((0, 5)),
+                "no_cols": np.zeros((4, 0), dtype=np.int64),
+            },
+            {"transposed": np.arange(12.0).reshape(3, 4).T},
+            {f"emb/{i:06d}": np.full((i % 3, 2), float(i)) for i in range(150)},
+        ],
+        ids=["str", "f64", "i64", "u8", "0d", "empty", "non_contiguous", "150_sections"],
+    )
+    def test_bytes_match_reference_encoder(self, tmp_path, sections):
+        path = tmp_path / "m.famb"
+        write_container(path, sections, minor=FORMAT_MINOR + 3)
+        assert path.read_bytes() == container_naive(sections, FORMAT_MAJOR, FORMAT_MINOR + 3)
+        out = read_container(path)
+        assert list(out) == list(sections)
+        for name, value in sections.items():
+            if isinstance(value, str):
+                assert out[name] == value
+            else:
+                assert out[name].dtype == value.dtype and out[name].shape == value.shape
+                np.testing.assert_array_equal(out[name], value)
+
+    def test_truncated_last_section_refused(self, tmp_path):
+        path = tmp_path / "m.famb"
+        write_container(path, {"a": np.ones(8), "b": np.arange(40.0)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 100])
+        with pytest.raises(StorageError, match="truncated file.*section 'b'"):
+            read_container(path)
+
+    def test_table_entry_past_eof_refused_without_allocating(self, tmp_path):
+        path = tmp_path / "m.famb"
+        write_container(path, {"x": np.ones(4)})
+        raw = bytearray(path.read_bytes())
+        entry = 16 + 4 + len("x")  # offset u64 | length u64 of the only entry
+        raw[entry : entry + 16] = struct.pack("<QQ", 2**40, 2**40)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(StorageError, match="truncated file"):
+                read_container(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_write_and_read_stream_one_section_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(16)
+        section = 2**20
+        sections = {f"s{i:02d}": rng.standard_normal(section // 8) for i in range(20)}
+        path = tmp_path / "m.famb"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write_container(path, sections)
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = read_container(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # writing builds no image of the file; reading holds the arrays it
+        # returns plus one section's bytes and its copy
+        assert write_peak < section
+        assert read_peak < 22 * section
+        for name, value in sections.items():
+            np.testing.assert_array_equal(out[name], value)
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):
