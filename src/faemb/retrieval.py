@@ -57,7 +57,7 @@ class RetrievalIndex:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("index ids must be unique")
         if self.mode == "real":
-            v = v.astype(np.float64, copy=False)
+            v = np.ascontiguousarray(v, dtype=np.float64)
             if v.shape[1] != self.width:
                 raise ValueError(f"rows have {v.shape[1]} dims, width says {self.width}")
         else:
@@ -104,6 +104,30 @@ def build_binary_index(codes: list[BinaryCode]) -> RetrievalIndex:
     )
 
 
+_SCAN_BLOCK_BYTES = 1 << 18  # one block's difference rows stay in cache
+
+
+def _euclidean_scan(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from ``q`` to every row, a block of rows at a time.
+
+    One small buffer is reused for every block, so a query allocates no
+    N x D temporary: no fresh pages to fault in per query, whatever the
+    index size. Each row is reduced exactly as a whole-matrix
+    ``((vectors - q) ** 2).sum(axis=1)`` would, so distances are identical.
+    """
+    n, width = vectors.shape
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * max(width, 1)))
+    buf = np.empty((min(rows, n), width))
+    dist = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        b = buf[: hi - lo]
+        np.subtract(vectors[lo:hi], q, out=b)
+        np.square(b, out=b)
+        b.sum(axis=1, out=dist[lo:hi])
+    return np.sqrt(dist, out=dist)
+
+
 def search(
     query: ImageSignature | BinaryCode | np.ndarray,
     index: RetrievalIndex,
@@ -128,9 +152,7 @@ def search(
     if index.mode == "real":
         if q.shape != (index.width,):
             raise ValueError(f"query length {q.shape} != index width {index.width}")
-        diff = index.vectors - q
-        # squared in place: one N x D temporary per query instead of two
-        dist = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+        dist = _euclidean_scan(index.vectors, q)
     else:
         dist = _POPCOUNT[np.bitwise_xor(index.vectors, q)].sum(axis=1).astype(np.float64)
     order = np.argsort(dist, kind="stable")

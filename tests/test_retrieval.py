@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,39 @@ class TestSearch:
             np.testing.assert_allclose(
                 [dist for _, dist in got], [dist for _, dist in expected], atol=1e-12
             )
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (700, 952), (257, 1088), (40, 9000)])
+    def test_distances_identical_to_whole_matrix_form(self, n, d):
+        # the scan runs block by block; every row must still reduce bit for bit
+        # as the one-shot ((V - q) ** 2).sum(axis=1) does, in C or F order
+        rng = np.random.default_rng(n + d)
+        V = rng.standard_normal((n, d))
+        q = V[n // 2] + 1e-3 * rng.standard_normal(d)
+        diff = V - q
+        expected = np.sqrt((diff * diff).sum(axis=1))
+        for vectors in (V, np.asfortranarray(V)):
+            index = RetrievalIndex(
+                ids=tuple(map(str, range(n))), vectors=vectors, mode="real", width=d
+            )
+            got = dict(search(q, index))
+            dist = np.array([got[str(i)] for i in range(n)])
+            assert np.array_equal(dist, expected)
+
+    def test_query_allocates_no_index_sized_temporary(self):
+        rng = np.random.default_rng(6)
+        n, d = 2000, 952  # 15 MB of index rows
+        V = rng.standard_normal((n, d))
+        index = RetrievalIndex(ids=tuple(map(str, range(n))), vectors=V, mode="real", width=d)
+        search(V[0], index, k=10)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            search(V[1], index, k=10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_self_query_ranks_first(self):
         rng = np.random.default_rng(1)
