@@ -221,6 +221,7 @@ def _cmd_fit_agg(args: argparse.Namespace) -> int:
     ids, mats, n, d = _load_embedded(_require(args.input, "embedded-vector"))
     drop = cfg.drop if cfg.drop is not None else tri_length(d)
     stacked = np.vstack(mats)
+    del mats  # else the per-image arrays stay alive beside the stack and its centered copy
     _log(f"fitting whitening on {stacked.shape[0]} vectors of dim {stacked.shape[1]}, drop={drop}")
     model = fit_whitening(stacked, drop=drop)
     out = _model_path(cfg, args.out, "whitening.famb")
@@ -339,16 +340,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     queries = _load_entries(_require(args.queries, "query"))
     gt = load_ground_truth(_require(args.gt or cfg.ground_truth_path, "ground-truth"))
     _log(f"evaluating {len(queries)} queries against {len(index)} entries")
-    reports = parallel_map(
-        lambda q: evaluate_map([q], index, gt).per_query, queries, cfg.threads
-    )
-    per_query: dict[str, float] = {}
-    for r in reports:
-        per_query.update(r)
-    for qid, ap in per_query.items():
+    report = evaluate_map(queries, index, gt)
+    for qid, ap in report.per_query.items():
         print(f"AP  {qid}  {ap:.4f}")
-    mean = float(np.mean(list(per_query.values())))
-    print(f"mAP {mean:.4f}")
+    print(f"mAP {report.mean_average_precision:.4f}")
     return 0
 
 

@@ -662,92 +662,75 @@ def _solve_anchor_coordinate(
     x: np.ndarray,
     r: np.ndarray,
     t_old: float,
+    order: np.ndarray | None = None,
 ) -> float:
     """Exact minimizer of one anchor coordinate with everything else fixed.
 
     The slice objective is ``F(t) = a/2 t^2 - b t + mu/2 sum_i w_i
     (|t - x_i| + r_i)^3`` with ``w_i, r_i >= 0``: convex in ``t``, smooth
-    except at the breakpoints ``{x_i}`` where the derivative jumps upward.
-    Binary-search the breakpoints for the subgradient sign change; between
-    breakpoints the derivative is an explicit quadratic, so the interior
-    root is closed-form (with a bisection fallback for degenerate cases).
+    except at the breakpoints ``x_i`` (those with ``w_i > 0``), where the
+    derivative jumps upward.  To the left of ``t`` a term contributes
+    ``w_i (t + u_i)^2`` to ``F'(t) / (1.5 mu)``, with ``u_i = r_i - x_i``;
+    to the right it contributes ``-w_i (v_i - t)^2``, with ``v_i = r_i + x_i``.
+
+    ``order`` sorts ``x`` ascending (computed here when not given).  Prefix
+    sums of ``w, w u, w u^2`` and suffix sums of ``w, w v, w v^2`` in that
+    order give both one-sided derivatives at every breakpoint in one pass.
+    The first breakpoint whose right-derivative is not negative bounds the
+    minimizer from above: it is the minimizer when its left-derivative is
+    not positive, and otherwise the minimizer lies in the open stretch just
+    left of it (unbounded below if it is the first breakpoint; past the last
+    breakpoint if every right-derivative is negative).  On that stretch
+    ``F'`` is a quadratic whose coefficients are summed in the original
+    order of ``x``; its root on the increasing branch, clamped to the
+    stretch, is returned.  With no breakpoint, or ``mu == 0``, ``F`` is a
+    parabola and the result is ``b / a`` (``t_old`` when ``a == 0``).
     """
     keep = w > 0.0
-    if not keep.any():
+    if mu == 0.0 or not keep.any():
         return b / a if a > 0.0 else t_old
-    w, x, r = w[keep], x[keep], r[keep]
+    if order is None:
+        order = np.argsort(x, kind="stable")
     c15 = 1.5 * mu
+    o = order[keep[order]]
+    xs, ws, rs = x[o], w[o], r[o]
+    u, v = rs - xs, rs + xs
+    zero = np.zeros((3, 1))
+    prefix = np.cumsum(np.stack([ws, ws * u, ws * u * u]), axis=1)
+    suffix = np.cumsum(np.stack([ws, ws * v, ws * v * v])[:, ::-1], axis=1)[:, ::-1]
+    # column k of P and S sums the first k sorted terms and the rest
+    P = np.concatenate([zero, prefix], axis=1)
+    S = np.concatenate([suffix, zero], axis=1)
+    c2, c1, c0 = P[0] - S[0], 2.0 * (P[1] + S[1]), P[2] - S[2]
+    base = a * xs - b
+    right = base + c15 * ((c2[1:] * xs + c1[1:]) * xs + c0[1:])
+    k = int(np.count_nonzero(right < 0.0))
+    if k < xs.size:
+        left = base[k] + c15 * ((c2[k] * xs[k] + c1[k]) * xs[k] + c0[k])
+        if left <= 0.0:
+            return float(xs[k])  # zero lies inside the subgradient jump
+    lo = float(xs[k - 1]) if k > 0 else -math.inf
+    hi = float(xs[k]) if k < xs.size else math.inf
 
-    def deriv(t: float, side: float) -> float:
-        sig = np.sign(t - x)
-        if side != 0.0:
-            sig = np.where(sig == 0.0, side, sig)
-        z = np.abs(t - x) + r
-        return a * t - b + c15 * float(w @ (sig * z * z))
-
-    def region_root(lo: float, hi: float, sig: np.ndarray) -> float:
-        # On a breakpoint-free stretch deriv(t) = A t^2 + B t + D.
-        ws = w * sig
-        z = x - sig * r
-        A = c15 * float(ws.sum())
-        B = a - 2.0 * c15 * float(ws @ z)
-        D = c15 * float(ws @ (z * z)) - b
-        root = np.nan
-        if abs(A) <= 1e-300:
-            if B != 0.0:
-                root = -D / B
-        else:
-            disc = B * B - 4.0 * A * D
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                qq = -0.5 * (B + math.copysign(sq, B))
-                cands = [qq / A]
-                if qq != 0.0:
-                    cands.append(D / qq)
-                pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
-                for t in cands:
-                    if lo - pad <= t <= hi + pad and 2.0 * A * t + B >= -pad:
-                        root = min(max(t, lo), hi)
-                        break
-        if np.isfinite(root):
-            return float(root)
-        # Fallback: bisect on the derivative inside a finite bracket.
-        if not np.isfinite(lo):
-            step = 1.0 + abs(hi)
-            lo = hi - step
-            while deriv(lo, 0.0) > 0.0:
-                step *= 2.0
-                lo = hi - step
-        if not np.isfinite(hi):
-            step = 1.0 + abs(lo)
-            hi = lo + step
-            while deriv(hi, 0.0) < 0.0:
-                step *= 2.0
-                hi = lo + step
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if deriv(mid, 0.0) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    s = np.unique(x)
-    if deriv(s[0], -1.0) >= 0.0:
-        return region_root(-np.inf, float(s[0]), -np.ones_like(x))
-    if deriv(s[-1], 1.0) <= 0.0:
-        return region_root(float(s[-1]), np.inf, np.ones_like(x))
-    lo_i, hi_i = 0, len(s) - 1
-    while lo_i < hi_i:  # smallest breakpoint with right-derivative >= 0
-        mid = (lo_i + hi_i) // 2
-        if deriv(s[mid], 1.0) >= 0.0:
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    if deriv(s[hi_i], -1.0) <= 0.0:
-        return float(s[hi_i])  # zero lies inside the subgradient jump
-    lo, hi = float(s[hi_i - 1]), float(s[hi_i])
-    return region_root(lo, hi, np.sign(0.5 * (lo + hi) - x))
+    # On the stretch F'(t) = A t^2 + B t + D.  The coefficients are summed in
+    # the original order: sums taken from the sorted prefix sums round
+    # differently and move trained anchors by about 1e-7.
+    w, x, r = w[keep], x[keep], r[keep]
+    left_of = x < hi
+    ws = np.where(left_of, w, -w)
+    z = np.where(left_of, x - r, x + r)
+    A = c15 * float(ws.sum())
+    B = a - 2.0 * c15 * float(ws @ z)
+    D = c15 * float(ws @ (z * z)) - b
+    if abs(A) > 1e-300:
+        sq = math.sqrt(max(B * B - 4.0 * A * D, 0.0))
+        qq = -0.5 * (B + math.copysign(sq, B))
+        root = D / qq if B >= 0.0 and qq != 0.0 else qq / A
+    elif B != 0.0:
+        root = -D / B
+    else:
+        root = 0.5 * (lo + hi)
+    return min(max(root, lo), hi)
 
 
 def _anchor_cd_sweeps(
@@ -776,6 +759,7 @@ def _anchor_cd_sweeps(
         W = np.broadcast_to((Gamma * Gamma).sum(axis=0), (n, m))
     curv = (Gamma * Gamma).sum(axis=1)
     half_mu = 0.5 * mu
+    orders = np.argsort(X, axis=1, kind="stable")
     for _ in range(max_sweeps):
         R = X - C @ Gamma
         L1 = np.abs(C.T[:, :, None] - X[None, :, :]).sum(axis=1)
@@ -792,7 +776,7 @@ def _anchor_cd_sweeps(
                 b = float(g_j @ e)
                 if a <= 0.0 and (mu == 0.0 or not (w > 0.0).any()):
                     continue
-                t_new = _solve_anchor_coordinate(a, b, mu, w, x_row, r, t_old)
+                t_new = _solve_anchor_coordinate(a, b, mu, w, x_row, r, t_old, orders[k])
                 if not np.isfinite(t_new) or t_new == t_old:
                     continue
                 l1_old = np.abs(t_old - x_row) + r

@@ -31,6 +31,7 @@ Streaming changes no byte of the layouts above.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -256,10 +257,10 @@ def _decode_section(blob: memoryview, name: str) -> np.ndarray | str:
         return str(payload, "utf-8")
     if kind not in _KIND_DTYPES:
         raise StorageError(f"section {name!r} has unknown kind tag {kind}")
-    arr = np.frombuffer(payload, dtype=_KIND_DTYPES[kind])
-    if arr.size != int(np.prod(shape)):
+    dtype = np.dtype(_KIND_DTYPES[kind])
+    if len(payload) != dtype.itemsize * math.prod(shape):
         raise StorageError(f"section {name!r}: payload size does not match shape {shape}")
-    return arr.reshape(shape).copy()
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def _read(

@@ -102,6 +102,50 @@ def ls_simplex_oracle(x, C):
     return ffaemb_oracle(x, C, 0.0)
 
 
+def golden_section_min(f):
+    """Minimizer of a convex scalar function by bracketing and golden section.
+
+    Walks downhill from 0 with doubling steps until ``f(c - s) >= f(c) <=
+    f(c + s)``, which brackets a minimizer for convex ``f``, then shrinks the
+    bracket by the golden ratio to the precision of its endpoints.
+    """
+    c, s = 0.0, 1.0
+    fc = f(c)
+    while True:
+        fl, fr = f(c - s), f(c + s)
+        if fl >= fc <= fr:
+            break
+        c, fc = (c - s, fl) if fl < fr else (c + s, fr)
+        s *= 2.0
+    lo, hi = c - s, c + s
+    g = (5 ** 0.5 - 1) / 2
+    p, q = hi - g * (hi - lo), lo + g * (hi - lo)
+    fp, fq = f(p), f(q)
+    for _ in range(500):
+        if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+            break
+        if fp <= fq:
+            hi, q, fq = q, p, fp
+            p = hi - g * (hi - lo)
+            fp = f(p)
+        else:
+            lo, p, fp = p, q, fq
+            q = lo + g * (hi - lo)
+            fq = f(q)
+    return p if fp <= fq else q
+
+
+def anchor_coordinate_objective(t, a, b, mu, w, x, r):
+    """``a/2 t^2 - b t + mu/2 sum_i w_i (|t - x_i| + r_i)^3`` by a plain loop."""
+    pen = sum(float(wi) * (abs(t - float(xi)) + float(ri)) ** 3 for wi, xi, ri in zip(w, x, r))
+    return 0.5 * a * t * t - b * t + 0.5 * mu * pen
+
+
+def anchor_coordinate_naive(a, b, mu, w, x, r):
+    """Minimizer of the convex 1-D anchor-coordinate objective by golden section."""
+    return golden_section_min(lambda t: anchor_coordinate_objective(t, a, b, mu, w, x, r))
+
+
 def fd_gradient(f, x0, h=1e-6):
     """Central finite differences of a scalar function."""
     x0 = np.asarray(x0, dtype=float)

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import faemb.cli
 import faemb.storage
+from oracles import container_naive
 from faemb.cli import main
 from faemb.config import parse_config
 from faemb.storage import (
@@ -306,6 +309,21 @@ class TestErrorHandling:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert payload["error"] == "StorageError"
+
+    def test_short_numeric_payload_is_storage_error(self, tmp_path, capsys):
+        # a utf8 section relabelled f64 keeps its valid checksum: five payload
+        # bytes for a shape of five float64 values
+        raw = bytearray(container_naive({"values": "abcde"}))
+        start = 16 + 4 + len("values") + 16
+        raw[start : start + 4] = struct.pack("<I", 0)
+        raw[-4:] = struct.pack("<I", zlib.crc32(raw[start:-4]))
+        bad = tmp_path / "sigs.famb"
+        bad.write_bytes(bytes(raw))
+        rc = main(["index", "--in", str(bad), "--out", str(tmp_path / "index.famb")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert payload["error"] == "StorageError"
+        assert "'values'" in payload["message"]
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from faemb.coding import (
     CodingModel,
     SingularSystemError,
     SolverParams,
+    _solve_anchor_coordinate,
     anchor_gradient,
     faemb_gamma,
     faemb_gamma_batch,
@@ -21,9 +22,12 @@ from faemb.coding import (
 )
 
 from oracles import (
+    anchor_coordinate_naive,
+    anchor_coordinate_objective,
     faemb_oracle,
     fd_gradient,
     ffaemb_oracle,
+    golden_section_min,
     ls_simplex_oracle,
     objective_naive,
 )
@@ -348,6 +352,87 @@ class TestUpdateAnchors:
                     probe[i, j] += delta
                     q = objective(X, Gamma, replace(model, anchors=probe))
                     assert q >= base - 1e-6
+
+    def test_stationary_with_extrapolating_coefficients(self):
+        # coefficients such as [2, -1, 0] put a coordinate's minimizer beyond
+        # every descriptor value; no exact single-coordinate move may then
+        # improve the returned anchors
+        rng = np.random.default_rng(63)
+        d, n, m = 4, 3, 6
+        for inst in range(24):
+            variant = ("faemb", "ffaemb")[inst % 2]
+            X = 0.1 * rng.standard_normal((d, m))
+            Gamma = rng.dirichlet(np.ones(n), size=m).T
+            for col in range(0, m, 2):
+                Gamma[:, col] = rng.permutation([2.0, -1.0, 0.0])
+            C0 = rng.standard_normal((d, n))
+            model = CodingModel(anchors=C0, mu=0.01, variant=variant)
+            C1 = update_anchors(X, Gamma, C0, model)
+            base = objective(X, Gamma, replace(model, anchors=C1))
+            for i in range(d):
+                for j in range(n):
+
+                    def f(t):
+                        probe = C1.copy()
+                        probe[i, j] = t
+                        return objective(X, Gamma, replace(model, anchors=probe))
+
+                    assert f(golden_section_min(f)) >= base - 1e-7 * (1.0 + abs(base)), (
+                        inst, i, j,
+                    )
+
+
+def _coordinate_instance(rng, i):
+    """One 1-D anchor-coordinate problem; ``i`` cycles through the edge cases."""
+    m = int(rng.integers(1, 13))
+    x = rng.standard_normal(m)
+    if i % 4 == 0:
+        x = np.round(x, 1)  # tied breakpoints
+    w = rng.uniform(0.0, 2.0, m)
+    if i % 3 == 0:
+        w[rng.random(m) < 0.4] = 0.0
+    r = rng.uniform(0.0, 3.0, m)
+    if i % 5 == 0:
+        r[:] = 0.0
+    mu = (0.0, 1e-4, 1e-2, 0.3, 3.0)[(i // 3) % 5]
+    a = float(rng.uniform(0.0, 5.0)) if i % 11 else 0.0
+    b = float(rng.standard_normal()) * (50.0 if i % 6 == 1 else 1.0)
+    if a == 0.0 and (mu == 0.0 or not (w > 0.0).any()):
+        a = 1.0  # keep F bounded below
+    return a, b, mu, w, x, r
+
+
+class TestSolveAnchorCoordinate:
+    def test_matches_golden_section_oracle(self):
+        rng = np.random.default_rng(64)
+        seen = dict.fromkeys(("ties", "zero_w", "mu_zero", "r_zero", "beyond"), 0)
+        for i in range(2400):
+            a, b, mu, w, x, r = _coordinate_instance(rng, i)
+            got = _solve_anchor_coordinate(a, b, mu, w, x, r, 0.0)
+            ref = anchor_coordinate_naive(a, b, mu, w, x, r)
+            f_got = anchor_coordinate_objective(got, a, b, mu, w, x, r)
+            f_ref = anchor_coordinate_objective(ref, a, b, mu, w, x, r)
+            scale = 1.0 + abs(a * ref * ref) + abs(b * ref) + mu * float(
+                w @ (np.abs(ref - x) + r) ** 3
+            )
+            assert f_got <= f_ref + 1e-12 * scale, (i, got, ref)
+            kept = x[w > 0.0]
+            seen["ties"] += np.unique(kept).size < kept.size
+            seen["zero_w"] += kept.size < x.size
+            seen["mu_zero"] += mu == 0.0
+            seen["r_zero"] += mu > 0.0 and not r.any()
+            seen["beyond"] += kept.size > 0 and not kept.min() <= ref <= kept.max()
+        assert min(seen.values()) >= 100, seen
+
+    def test_minimizer_beyond_every_breakpoint(self):
+        # the slope 100 t + 5 vanishes at -0.05, left of both breakpoints; an
+        # earlier solver returned the breakpoint -0.01 here
+        args = (100.0, -5.0, 1e-4, np.ones(2), np.array([-0.01, 0.01]), np.zeros(2))
+        got = _solve_anchor_coordinate(*args, 0.0)
+        assert got == pytest.approx(anchor_coordinate_naive(*args), abs=1e-9)
+        assert got == pytest.approx(-0.05, abs=1e-7)
+        mirrored = (100.0, 5.0, *args[2:])
+        assert _solve_anchor_coordinate(*mirrored, 0.0) == pytest.approx(-got, abs=1e-15)
 
 
 class TestTrainCoding:
