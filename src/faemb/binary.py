@@ -33,6 +33,17 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
 ).astype(np.int64)
 
 
+def _hamming(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact Hamming distances, shape ``(len(queries), len(codes))``, int64.
+
+    ``codes`` and ``queries`` hold packed code bytes, one code per row; the
+    set bits of each XORed byte come from a 256-entry table, small enough
+    to stay in cache between calls.  Every view of Hamming distance in the
+    package calls this kernel.
+    """
+    return _POPCOUNT[np.bitwise_xor(codes, queries[:, None, :])].sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class ItqModel:
     """PCA projection plus learned orthogonal rotation.
@@ -170,7 +181,7 @@ def unpack_bits(code: BinaryCode) -> np.ndarray:
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
     if a.n_bits != b.n_bits:
         raise ValueError(f"bit lengths differ: {a.n_bits} vs {b.n_bits}")
-    return int(_POPCOUNT[np.bitwise_xor(a.packed, b.packed)].sum())
+    return int(_hamming(a.packed[None], b.packed[None])[0, 0])
 
 
 def hamming_rank(query: BinaryCode, db: list[BinaryCode]) -> list[tuple[str, int]]:
@@ -180,7 +191,6 @@ def hamming_rank(query: BinaryCode, db: list[BinaryCode]) -> list[tuple[str, int
     for c in db:
         if c.n_bits != query.n_bits:
             raise ValueError(f"bit lengths differ: {query.n_bits} vs {c.n_bits}")
-    mat = np.stack([c.packed for c in db])
-    dist = _POPCOUNT[np.bitwise_xor(mat, query.packed)].sum(axis=1)
+    dist = _hamming(np.stack([c.packed for c in db]), query.packed[None])[0]
     order = np.argsort(dist, kind="stable")
     return [(db[i].image_id, int(dist[i])) for i in order]

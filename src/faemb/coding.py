@@ -176,9 +176,18 @@ class BatchNewtonSolution:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Trained model, final coefficients and the objective trace.
+
+    ``anchor_sweeps`` and ``anchor_converged`` hold one entry per outer
+    iteration: the coordinate-descent sweeps the anchor update ran, and
+    whether its move test stopped them before the sweep cap.
+    """
+
     model: CodingModel
     gamma: np.ndarray
     trace: np.ndarray
+    anchor_sweeps: np.ndarray
+    anchor_converged: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +749,12 @@ def _anchor_cd_sweeps(
     mu: float,
     variant: str,
     max_sweeps: int = 80,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, bool]:
     """Cyclic exact coordinate descent on the anchors.
+
+    Returns the anchors, the number of sweeps run and whether the move test
+    stopped them (no coordinate moved by more than ``1e-12 (1 + max |C|)``
+    in the last sweep); ``False`` means the ``max_sweeps`` cap did.
 
     The cubed-L1 penalty is non-differentiable exactly on the axis-aligned
     planes where an anchor coordinate ties a descriptor coordinate, and its
@@ -760,7 +773,7 @@ def _anchor_cd_sweeps(
     curv = (Gamma * Gamma).sum(axis=1)
     half_mu = 0.5 * mu
     orders = np.argsort(X, axis=1, kind="stable")
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         R = X - C @ Gamma
         L1 = np.abs(C.T[:, :, None] - X[None, :, :]).sum(axis=1)
         moved = 0.0
@@ -793,8 +806,8 @@ def _anchor_cd_sweeps(
                 L1[j] = l1_new
                 moved = max(moved, abs(t_new - t_old))
         if moved <= 1e-12 * (1.0 + np.abs(C).max()):
-            break
-    return C
+            return C, sweep, True
+    return C, max_sweeps, False
 
 
 def update_anchors(
@@ -809,15 +822,22 @@ def update_anchors(
     returned anchors never score worse than ``c_init`` on the batch
     objective.
     """
+    return _update_anchors(X, Gamma, c_init, model)[0]
+
+
+def _update_anchors(
+    X: np.ndarray, Gamma: np.ndarray, c_init: np.ndarray, model: CodingModel
+) -> tuple[np.ndarray, int, bool]:
+    """:func:`update_anchors` plus the sweep count and convergence flag."""
     X = np.asarray(X, dtype=np.float64)
     Gamma = np.asarray(Gamma, dtype=np.float64)
     C = np.array(c_init, dtype=np.float64, copy=True)
-    polished = _anchor_cd_sweeps(X, Gamma, C, model.mu, model.variant)
+    polished, sweeps, converged = _anchor_cd_sweeps(X, Gamma, C, model.mu, model.variant)
     if objective(X, Gamma, replace(model, anchors=polished)) <= objective(
         X, Gamma, replace(model, anchors=C)
     ):
-        return polished
-    return C
+        return polished, sweeps, converged
+    return C, sweeps, converged
 
 
 def _gamma_step(
@@ -863,8 +883,12 @@ def train_coding(
     model = CodingModel(anchors=anchors, mu=mu, variant=variant)
     Gamma = _gamma_step(X, model, params)
     trace = [objective(X, Gamma, model)]
+    sweeps: list[int] = []
+    converged: list[bool] = []
     for _ in range(params.max_outer_iters):
-        anchors = update_anchors(X, Gamma, model.anchors, model)
+        anchors, n_sweeps, done = _update_anchors(X, Gamma, model.anchors, model)
+        sweeps.append(n_sweeps)
+        converged.append(done)
         model = replace(model, anchors=anchors)
         fresh = _gamma_step(X, model, params)
         worse = per_sample_objective(X, fresh, model) > per_sample_objective(
@@ -876,4 +900,10 @@ def train_coding(
         trace.append(objective(X, Gamma, model))
         if abs(trace[-1] - trace[-2]) < params.outer_tol:
             break
-    return TrainResult(model=model, gamma=Gamma, trace=np.asarray(trace))
+    return TrainResult(
+        model=model,
+        gamma=Gamma,
+        trace=np.asarray(trace),
+        anchor_sweeps=np.asarray(sweeps, dtype=np.int64),
+        anchor_converged=np.asarray(converged, dtype=bool),
+    )

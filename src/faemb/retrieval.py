@@ -8,6 +8,19 @@ Evaluation follows the classic protocol: junk items are removed from a
 ranking before scoring (later items close up), the query itself is always
 removed, and average precision is the mean of precision at each relevant
 item's rank.
+
+``evaluate_map`` gives exactly the ranks that ``search`` would, without
+sorting a full ranking per query.  It scores blocks of queries at once, as
+many as keep one block's largest Q x N temporary within
+``_SCORE_BLOCK_BYTES`` (1 MB) and its stacked queries within
+``_SCAN_BLOCK_BYTES`` (256 KB), and only counts the rows ranked before each
+relevant row.  Binary distances come exact from one blocked XOR-popcount.
+Real distances come from one GEMM per block, ``|q|^2 + |v|^2 - 2 q.v``,
+which differs from ``search``'s sum of squared differences by at most
+``3 gamma_(D+2) (|q| + |v|)^2`` plus an underflow term, whatever the BLAS
+summation order or thread count; rows within that bound (widened by ``16 u``
+for the ties sqrt creates) of a relevant row's exact sum fall back to exact
+re-scoring with ``search``'s arithmetic and tie order.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import ImageSignature
-from .binary import BinaryCode, _POPCOUNT
+from .binary import BinaryCode, _hamming
 from .core import DescriptorSet
 
 __all__ = [
@@ -40,13 +53,18 @@ class RetrievalIndex:
 
     ``mode`` is "real" (``vectors`` holds signature rows, ``width`` is the
     dimension) or "binary" (``vectors`` holds packed code bytes, ``width``
-    is the bit count).
+    is the bit count).  Real rows must be finite, squared norms included.
+    ``_positions`` maps each id to its row; for a real index ``_sq_norms``
+    holds every row's squared norm, which the batched evaluation reuses on
+    every call.
     """
 
     ids: tuple[str, ...]
     vectors: np.ndarray = field(repr=False)
     mode: str
     width: int
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _sq_norms: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("real", "binary"):
@@ -54,12 +72,17 @@ class RetrievalIndex:
         v = np.asarray(self.vectors)
         if v.ndim != 2 or v.shape[0] != len(self.ids):
             raise ValueError("vectors must be one row per id")
-        if len(set(self.ids)) != len(self.ids):
+        positions = {rid: i for i, rid in enumerate(self.ids)}
+        if len(positions) != len(self.ids):
             raise ValueError("index ids must be unique")
+        sq_norms = None
         if self.mode == "real":
             v = np.ascontiguousarray(v, dtype=np.float64)
             if v.shape[1] != self.width:
                 raise ValueError(f"rows have {v.shape[1]} dims, width says {self.width}")
+            sq_norms = np.einsum("ij,ij->i", v, v)
+            if not np.isfinite(sq_norms).all():
+                raise ValueError("index rows must be finite, with finite squared norms")
         else:
             v = v.astype(np.uint8, copy=False)
             if v.shape[1] != (self.width + 7) // 8:
@@ -69,6 +92,8 @@ class RetrievalIndex:
                 )
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_sq_norms", sq_norms)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -107,13 +132,14 @@ def build_binary_index(codes: list[BinaryCode]) -> RetrievalIndex:
 _SCAN_BLOCK_BYTES = 1 << 18  # one block's difference rows stay in cache
 
 
-def _euclidean_scan(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from ``q`` to every row, a block of rows at a time.
+def _squared_scan(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance from ``q`` to every row, a block of rows at a time.
 
     One small buffer is reused for every block, so a query allocates no
     N x D temporary: no fresh pages to fault in per query, whatever the
     index size. Each row is reduced exactly as a whole-matrix
-    ``((vectors - q) ** 2).sum(axis=1)`` would, so distances are identical.
+    ``((vectors - q) ** 2).sum(axis=1)`` would, so the sums do not depend
+    on the block size or on which rows are scanned together.
     """
     n, width = vectors.shape
     rows = max(1, _SCAN_BLOCK_BYTES // (8 * max(width, 1)))
@@ -125,15 +151,13 @@ def _euclidean_scan(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.subtract(vectors[lo:hi], q, out=b)
         np.square(b, out=b)
         b.sum(axis=1, out=dist[lo:hi])
-    return np.sqrt(dist, out=dist)
+    return dist
 
 
-def search(
-    query: ImageSignature | BinaryCode | np.ndarray,
-    index: RetrievalIndex,
-    k: int | None = None,
-) -> list[tuple[str, float]]:
-    """Top-``k`` (all if None) index entries by ascending distance to ``query``."""
+def _query_vector(
+    query: ImageSignature | BinaryCode | np.ndarray, index: RetrievalIndex
+) -> np.ndarray:
+    """The query as a row comparable with ``index.vectors``, after the checks."""
     if isinstance(query, ImageSignature):
         if index.mode != "real":
             raise ValueError("real-valued query against a binary index")
@@ -149,12 +173,23 @@ def search(
         if index.mode != "real":
             raise ValueError("raw-array queries are only supported for real indexes")
         q = q.astype(np.float64)
+    if index.mode == "real" and q.shape != (index.width,):
+        raise ValueError(f"query length {q.shape} != index width {index.width}")
+    return q
+
+
+def search(
+    query: ImageSignature | BinaryCode | np.ndarray,
+    index: RetrievalIndex,
+    k: int | None = None,
+) -> list[tuple[str, float]]:
+    """Top-``k`` (all if None) index entries by ascending distance to ``query``."""
+    q = _query_vector(query, index)
     if index.mode == "real":
-        if q.shape != (index.width,):
-            raise ValueError(f"query length {q.shape} != index width {index.width}")
-        dist = _euclidean_scan(index.vectors, q)
+        dist = _squared_scan(index.vectors, q)
+        np.sqrt(dist, out=dist)
     else:
-        dist = _POPCOUNT[np.bitwise_xor(index.vectors, q)].sum(axis=1).astype(np.float64)
+        dist = _hamming(index.vectors, q[None])[0]
     order = np.argsort(dist, kind="stable")
     if k is not None:
         order = order[:k]
@@ -185,6 +220,9 @@ class GroundTruth:
         return query_id in self.entries
 
 
+_EMPTY_RELEVANT = "empty relevant set; average precision defined as 0"
+
+
 def average_precision(
     ranked_ids: list[str],
     relevant: frozenset[str] | set[str],
@@ -200,25 +238,75 @@ def average_precision(
     if len(set(ranked_ids)) != len(ranked_ids):
         raise ValueError("ranked list contains duplicate ids")
     if not relevant:
-        warnings.warn("empty relevant set; average precision defined as 0", stacklevel=2)
+        warnings.warn(_EMPTY_RELEVANT, stacklevel=2)
         return 0.0
-    hits = 0
+    ranks = []
     rank = 0
-    total = 0.0
     for rid in ranked_ids:
         if rid in junk:
             continue
         rank += 1
         if rid in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+            ranks.append(rank)
+    return _ap_from_ranks(ranks, len(relevant))
+
+
+def _ap_from_ranks(ranks: list[int], n_relevant: int) -> float:
+    """AP from the ascending ranks of the relevant items that were found."""
+    total = 0.0
+    for hits, rank in enumerate(ranks, start=1):
+        total += hits / rank
+    return total / n_relevant
 
 
 @dataclass(frozen=True)
 class MapReport:
     mean_average_precision: float
     per_query: dict[str, float]
+
+
+_SCORE_BLOCK_BYTES = 1 << 20  # one query block's largest Q x N temporary
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TIE_MARGIN = 16 * _UNIT_ROUNDOFF
+
+
+def _real_ranks(
+    approx: np.ndarray,
+    err: np.ndarray,
+    q: np.ndarray,
+    vectors: np.ndarray,
+    rows: np.ndarray,
+    excluded: list[int],
+) -> np.ndarray:
+    """Ranks of ``rows`` from approximate squared distances within ``err``.
+
+    ``approx`` holds every row's approximate squared distance to ``q`` and
+    ``|approx - s| <= err`` holds for the exact sums ``s`` of
+    :func:`_squared_scan`.  A row whose upper bound lies below a target's
+    exact sum less the tie margin is surely before that target, one whose
+    lower bound lies above its sum plus the margin surely after it (the
+    margin keeps rows apart that sqrt would round to the same key).  Every
+    other row is re-scored exactly and compared by (key, row).  Rows in
+    ``excluded`` (junk and the query itself) never count.
+    """
+    target = _squared_scan(vectors[rows], q)
+    before = (approx + err) < (target * (1.0 - _TIE_MARGIN))[:, None]
+    after = (approx - err) > (target * (1.0 + _TIE_MARGIN))[:, None]
+    near = (~(before | after)).any(axis=0)
+    near[excluded] = False
+    # the targets and the rows near any of them are compared exactly below
+    before[:, near] = False
+    before[:, rows] = False
+    before[:, excluded] = False
+    near[rows] = False
+    pool, exact_sq = rows, target
+    if near.any():
+        pool = np.concatenate([rows, np.flatnonzero(near)])
+        exact_sq = np.concatenate([target, _squared_scan(vectors[pool[rows.size :]], q)])
+    key = np.sqrt(exact_sq)
+    at = key[: rows.size, None]
+    exact = (key < at) | ((key == at) & (pool < rows[:, None]))
+    return 1 + np.count_nonzero(before, axis=1) + np.count_nonzero(exact, axis=1)
 
 
 def evaluate_map(
@@ -229,18 +317,97 @@ def evaluate_map(
     """Mean AP over queries, each ranked against the full index.
 
     The query's own id is always removed from its ranking.  Every query must
-    have a ground-truth entry.
+    have a ground-truth entry; every query is checked before any is ranked.
+
+    Queries are ranked a block at a time: a block holds as many queries as
+    keep its largest Q x N temporary (the GEMM's scores, or the binary
+    kernel's popcount look-ups) within ``_SCORE_BLOCK_BYTES`` and its
+    stacked query rows within ``_SCAN_BLOCK_BYTES``.  A relevant row's rank
+    is 1 plus the number of non-junk, non-self rows that come before it in
+    :func:`search`'s order: ascending distance, ties by row.
+
+    Binary: one blocked XOR-popcount gives exact integer distances.
+
+    Real: one GEMM gives ``S = |q|^2 + |v|^2 - 2 q.v`` for the whole block.
+    Against the sum ``s`` that :func:`_squared_scan` computes for the same
+    row, ``|S - s| <= 3 gamma_(D+2) (|q| + |v|)^2 + (D + 4) tiny``, with
+    ``gamma_n = n u / (1 - n u)``, ``u = 2^-53`` and ``tiny`` the smallest
+    normal double.  Each of ``S`` and ``s`` is within ``gamma_(D+2) (|q| +
+    |v|)^2`` of the true squared distance whatever the summation order, so
+    the bound holds for any BLAS blocking and thread count; the third
+    ``gamma`` absorbs the rounding of the norms and of the bound itself, and
+    the ``tiny`` term covers underflow.  Only rows within that bound of a
+    relevant row's exact sum, widened by a relative margin of ``16 u`` for
+    the ties sqrt creates, are re-scored exactly (the fallback); every other
+    row is counted from ``S``.  So ranks, and with them AP, are exactly
+    those of :func:`search` plus :func:`average_precision`.
     """
     if not queries:
         raise ValueError("no queries given")
-    per_query: dict[str, float] = {}
+    vectors = []
     for q in queries:
-        qid = q.image_id
-        if qid not in ground_truth:
-            raise KeyError(f"query {qid!r} has no ground-truth entry")
-        ranked = [rid for rid, _ in search(q, index) if rid != qid]
-        relevant = ground_truth.relevant_for(qid) - {qid}
-        per_query[qid] = average_precision(ranked, relevant, ground_truth.junk_for(qid))
+        if q.image_id not in ground_truth:
+            raise KeyError(f"query {q.image_id!r} has no ground-truth entry")
+        vectors.append(_query_vector(q, index))
+    n = len(index)
+    positions = index._positions
+    real = index.mode == "real"
+    row_bytes = index.vectors.shape[1] * index.vectors.itemsize  # one stacked query
+    # bytes per (query, row) pair: a float64 score, or one int64 per code byte
+    pair_bytes = 8 if real else 8 * row_bytes
+    block = max(
+        1, min(_SCORE_BLOCK_BYTES // max(pair_bytes * n, 1), _SCAN_BLOCK_BYTES // row_bytes)
+    )
+    if real:
+        norms = np.sqrt(index._sq_norms)
+        ops = index.width + 2
+        coef = 3.0 * ops * _UNIT_ROUNDOFF / (1.0 - ops * _UNIT_ROUNDOFF)  # 3 gamma_(D+2)
+        slack = (index.width + 4) * np.finfo(np.float64).tiny
+    else:
+        row_order = np.arange(n)
+    per_query: dict[str, float] = {}
+    for lo in range(0, len(queries), block):
+        Q = np.stack(vectors[lo : lo + block])
+        if real:
+            scores = Q @ index.vectors.T
+            scores *= -2.0
+            scores += index._sq_norms
+            q_sq = np.einsum("ij,ij->i", Q, Q)
+            scores += q_sq[:, None]
+            q_norms = np.sqrt(q_sq)
+        else:
+            # distance then row: one integer key in search's order
+            scores = _hamming(index.vectors, Q)
+            scores *= n
+            scores += row_order
+        for b, query in enumerate(queries[lo : lo + block]):
+            qid = query.image_id
+            relevant = ground_truth.relevant_for(qid) - {qid}
+            if not relevant:
+                warnings.warn(_EMPTY_RELEVANT, stacklevel=2)
+                per_query[qid] = 0.0
+                continue
+            rows = np.array([positions[r] for r in relevant if r in positions], dtype=np.intp)
+            excluded = [
+                positions[j] for j in ground_truth.junk_for(qid) | {qid} if j in positions
+            ]
+            if rows.size == 0:
+                ranks = rows
+            elif real:
+                err = q_norms[b] + norms
+                err *= err
+                err *= coef
+                err += slack
+                ranks = _real_ranks(scores[b], err, Q[b], index.vectors, rows, excluded)
+            else:
+                key = scores[b]
+                at = key[rows][:, None]
+                ranks = (
+                    1
+                    + np.count_nonzero(key < at, axis=1)
+                    - np.count_nonzero(key[excluded] < at, axis=1)
+                )
+            per_query[qid] = _ap_from_ranks(sorted(ranks.tolist()), len(relevant))
     mean = float(np.mean(list(per_query.values())))
     return MapReport(mean_average_precision=mean, per_query=per_query)
 

@@ -2,7 +2,11 @@
 
 Everything here is written naively — exhaustive enumeration, plain loops,
 textbook formulas — and deliberately shares no code with the package, so a
-test that compares the two is a genuine cross-check.
+test that compares the two is a genuine cross-check.  The one exception is
+``evaluate_map_naive``: it is the per-query evaluation path built from the
+package's ``search`` and ``average_precision`` (each checked against
+``search_naive`` and ``ap_naive``), kept as the bitwise reference for the
+batched evaluator.
 """
 
 from __future__ import annotations
@@ -240,6 +244,26 @@ def ap_naive(ranked_ids, relevant, junk=frozenset()):
             hits += 1
             total += hits / rank
     return total / len(relevant)
+
+
+def evaluate_map_naive(queries, index, ground_truth):
+    """Per-query mAP: a full ``search`` then ``average_precision`` per query.
+
+    Returns ``(mean, per_query)``.
+    """
+    from faemb.retrieval import average_precision, search
+
+    if not queries:
+        raise ValueError("no queries given")
+    per_query = {}
+    for q in queries:
+        qid = q.image_id
+        if qid not in ground_truth:
+            raise KeyError(f"query {qid!r} has no ground-truth entry")
+        ranked = [rid for rid, _ in search(q, index) if rid != qid]
+        relevant = ground_truth.relevant_for(qid) - {qid}
+        per_query[qid] = average_precision(ranked, relevant, ground_truth.junk_for(qid))
+    return float(np.mean(list(per_query.values()))), per_query
 
 
 def container_naive(sections, major=1, minor=0):

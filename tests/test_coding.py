@@ -7,7 +7,9 @@ from faemb.coding import (
     CodingModel,
     SingularSystemError,
     SolverParams,
+    _anchor_cd_sweeps,
     _solve_anchor_coordinate,
+    _update_anchors,
     anchor_gradient,
     faemb_gamma,
     faemb_gamma_batch,
@@ -357,15 +359,8 @@ class TestUpdateAnchors:
         # coefficients such as [2, -1, 0] put a coordinate's minimizer beyond
         # every descriptor value; no exact single-coordinate move may then
         # improve the returned anchors
-        rng = np.random.default_rng(63)
-        d, n, m = 4, 3, 6
-        for inst in range(24):
-            variant = ("faemb", "ffaemb")[inst % 2]
-            X = 0.1 * rng.standard_normal((d, m))
-            Gamma = rng.dirichlet(np.ones(n), size=m).T
-            for col in range(0, m, 2):
-                Gamma[:, col] = rng.permutation([2.0, -1.0, 0.0])
-            C0 = rng.standard_normal((d, n))
+        for inst, (variant, X, Gamma, C0) in enumerate(_extrapolating_instances(24)):
+            d, n = C0.shape
             model = CodingModel(anchors=C0, mu=0.01, variant=variant)
             C1 = update_anchors(X, Gamma, C0, model)
             base = objective(X, Gamma, replace(model, anchors=C1))
@@ -380,6 +375,46 @@ class TestUpdateAnchors:
                     assert f(golden_section_min(f)) >= base - 1e-7 * (1.0 + abs(base)), (
                         inst, i, j,
                     )
+
+    def test_sweep_cap_is_reported(self):
+        # the seventh extrapolating instance (faemb) needs about 320 sweeps
+        # before no coordinate moves; at the 80-sweep cap that must show
+        variant, X, Gamma, C0 = list(_extrapolating_instances(7))[6]
+        assert variant == "faemb"
+        model = CodingModel(anchors=C0, mu=0.01, variant=variant)
+        C1, sweeps, converged = _update_anchors(X, Gamma, C0, model)
+        assert (sweeps, converged) == (80, False)
+        np.testing.assert_array_equal(C1, update_anchors(X, Gamma, C0, model))
+        _, sweeps, converged = _anchor_cd_sweeps(X, Gamma, C0, 0.01, variant, max_sweeps=400)
+        assert converged and 80 < sweeps < 400
+
+    def test_well_conditioned_instance_converges(self):
+        rng = np.random.default_rng(61)
+        X = rng.standard_normal((5, 60))
+        Gamma = rng.dirichlet(np.ones(4), size=60).T
+        C0 = rng.standard_normal((5, 4))
+        for variant in ("faemb", "ffaemb"):
+            model = CodingModel(anchors=C0, mu=0.05, variant=variant)
+            _, sweeps, converged = _update_anchors(X, Gamma, C0, model)
+            assert converged and 1 <= sweeps < 80
+
+
+def _extrapolating_instances(count):
+    """Anchor problems whose coefficients put minimizers beyond the data.
+
+    Every other coefficient column is a permutation of [2, -1, 0]; variants
+    alternate, faemb first.  Yields ``(variant, X, Gamma, C0)``.
+    """
+    rng = np.random.default_rng(63)
+    d, n, m = 4, 3, 6
+    for inst in range(count):
+        variant = ("faemb", "ffaemb")[inst % 2]
+        X = 0.1 * rng.standard_normal((d, m))
+        Gamma = rng.dirichlet(np.ones(n), size=m).T
+        for col in range(0, m, 2):
+            Gamma[:, col] = rng.permutation([2.0, -1.0, 0.0])
+        C0 = rng.standard_normal((d, n))
+        yield variant, X, Gamma, C0
 
 
 def _coordinate_instance(rng, i):
@@ -446,6 +481,17 @@ class TestTrainCoding:
             assert (diffs <= 1e-9).all()
             np.testing.assert_allclose(result.gamma.sum(axis=0), 1.0, atol=1e-9)
             assert result.model.variant == variant
+
+    def test_reports_anchor_sweeps_per_outer_iteration(self):
+        rng = np.random.default_rng(70)
+        X = rng.standard_normal((6, 300))
+        for variant in ("faemb", "ffaemb"):
+            params = SolverParams(max_outer_iters=4)
+            result = train_coding(X, 4, 1e-2, variant, params=params, seed=0)
+            outer = len(result.trace) - 1
+            assert result.anchor_sweeps.shape == result.anchor_converged.shape == (outer,)
+            assert result.anchor_converged.all()
+            assert ((result.anchor_sweeps >= 1) & (result.anchor_sweeps < 80)).all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(71)

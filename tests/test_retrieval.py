@@ -1,8 +1,11 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from faemb import retrieval
 from faemb.aggregate import ImageSignature
 from faemb.binary import BinaryCode
 from faemb.retrieval import (
@@ -17,7 +20,7 @@ from faemb.retrieval import (
     synth_corpus,
 )
 
-from oracles import ap_naive, search_naive
+from oracles import ap_naive, evaluate_map_naive, search_naive
 
 
 def unit(v):
@@ -139,6 +142,12 @@ class TestSearch:
             )
         with pytest.raises(ValueError):
             build_index([])
+        # a NaN row would rank differently in search and evaluate_map
+        for bad in (np.nan, np.inf, 1e200):
+            with pytest.raises(ValueError, match="finite"):
+                RetrievalIndex(
+                    ids=("a", "b"), vectors=np.array([[0.0, 1.0], [bad, 0.0]]), mode="real", width=2
+                )
 
 
 class TestAveragePrecision:
@@ -256,6 +265,152 @@ class TestEvaluateMap:
         np.testing.assert_allclose(report.per_query["q"], 1.0)
         np.testing.assert_allclose(report.per_query["near"], 0.5)
         np.testing.assert_allclose(report.mean_average_precision, 0.75)
+
+
+def stress_case(seed, mode):
+    """Index, queries and ground truth built to catch a ranking shortcut.
+
+    A third of the rows repeat an earlier row exactly or with one coordinate
+    one ulp away, and some indexes sit far from the origin; most queries are index rows (so they tie with themselves
+    and their copies); ground truth mixes in junk, the query's own id, ids
+    missing from the index, empty relevant sets and queries missing from
+    the index.  There are more queries than one block holds.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(150, 400))
+    if mode == "real":
+        width = int(rng.integers(1, 40))
+        V = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-3, 3)
+        if seed % 2:
+            V = np.round(V, 1)
+        if seed % 3 == 2:
+            # a common offset: distances cancel, the GEMM's rounding matters
+            V += 1e3 * np.abs(V).max() * rng.standard_normal(width)
+        for i in range(0, n - 2, 9):
+            V[i + 1] = V[i]
+            V[i + 2] = V[i]
+            k = int(rng.integers(width))
+            V[i + 2, k] = np.nextafter(V[i, k], np.inf)
+        rows = V
+    else:
+        width = int(rng.integers(1, 100))
+        bits = rng.integers(0, 2, (n, width)).astype(np.uint8)
+        bits[1::9] = bits[::9][: len(bits[1::9])]
+        rows = np.packbits(bits, axis=1, bitorder="little")
+    ids = tuple(f"r{i}" for i in range(n))
+    index = RetrievalIndex(ids=ids, vectors=rows, mode=mode, width=width)
+    block = retrieval._SCORE_BLOCK_BYTES // (8 * n)  # no block holds more queries
+    queries, entries = [], {}
+    pool = list(ids) + ["gone0", "gone1", "gone2"]
+    for k in range(block + 40):
+        i = int(rng.integers(n))
+        inside = rng.random() < 0.85
+        qid = ids[i] if inside else f"out{k}"
+        if mode == "real":
+            v = V[i] if inside or rng.random() < 0.5 else rng.standard_normal(width)
+            queries.append(ImageSignature(values=v, image_id=qid))
+        else:
+            code = rows[i] if inside else np.packbits(
+                rng.integers(0, 2, width).astype(np.uint8), bitorder="little"
+            )
+            queries.append(BinaryCode(packed=code, n_bits=width, image_id=qid))
+        near = [ids[j] for j in range(max(0, i - 3), min(n, i + 4))]
+        relevant = set(rng.choice(near + pool, size=int(rng.integers(0, 6))))
+        if rng.random() < 0.1:
+            relevant = set()
+        elif rng.random() < 0.3:
+            relevant.add(qid)
+        junk = set(rng.choice(near + pool, size=int(rng.integers(0, 5)))) - relevant
+        if rng.random() < 0.3:
+            junk.add(qid)
+        entries[qid] = (frozenset(relevant), frozenset(junk - relevant))
+    assert len(queries) > block
+    return queries, index, GroundTruth(entries=entries)
+
+
+def run_with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, sum("empty relevant set" in str(w.message) for w in caught)
+
+
+class TestEvaluateMapBatched:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_aps_bitwise_equal_per_query_path(self, seed, monkeypatch):
+        queries, index, gt = stress_case(seed, "real")
+        (mean, expected), expected_warnings = run_with_warnings(
+            evaluate_map_naive, queries, index, gt
+        )
+        scans = []
+        scan = retrieval._squared_scan
+
+        def counting_scan(vectors, q):
+            scans.append(len(vectors))
+            return scan(vectors, q)
+
+        monkeypatch.setattr(retrieval, "_squared_scan", counting_scan)
+        report, n_warnings = run_with_warnings(evaluate_map, queries, index, gt)
+        assert report.per_query == expected
+        assert report.mean_average_precision == mean
+        assert n_warnings == expected_warnings > 0
+        # one exact scan of the relevant rows per ranked query; any further
+        # scan re-scored rows inside the GEMM's error bound
+        ranked = sum(
+            bool((gt.relevant_for(q.image_id) - {q.image_id}) & set(index.ids)) for q in queries
+        )
+        assert len(scans) > ranked
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_aps_bitwise_equal_per_query_path(self, seed):
+        queries, index, gt = stress_case(seed, "binary")
+        (mean, expected), expected_warnings = run_with_warnings(
+            evaluate_map_naive, queries, index, gt
+        )
+        report, n_warnings = run_with_warnings(evaluate_map, queries, index, gt)
+        assert report.per_query == expected
+        assert report.mean_average_precision == mean
+        assert n_warnings == expected_warnings > 0
+
+    def test_validation_errors_match_per_query_path(self):
+        rng = np.random.default_rng(5)
+        sigs, real_index = make_real_index(rng, n=4)
+        codes = [make_code([1, 0, 1], f"img{i}") for i in range(4)]
+        bin_index = build_binary_index(codes)
+        gt = GroundTruth(entries={f"img{i}": (frozenset({"img3"}), frozenset()) for i in range(3)})
+        cases = [
+            (sigs[:2] + [codes[0], sigs[3]], real_index),  # mode mismatch before missing gt
+            (sigs[:1] + [sigs[3], codes[0]], real_index),  # missing gt first
+            (codes[:2] + [sigs[0]], bin_index),
+            (codes[:1] + [make_code([1, 0], "img1")], bin_index),  # bit lengths differ
+            ([make_code([1, 0, 1, 1], "img2")], bin_index),
+        ]
+        for queries, index in cases:
+            with pytest.raises((KeyError, ValueError)) as want:
+                evaluate_map_naive(queries, index, gt)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                evaluate_map(queries, index, gt)
+
+    def test_memory_stays_within_one_block(self):
+        rng = np.random.default_rng(8)
+        n, d = 2000, 952  # an unblocked score matrix would take 32 MB
+        V = rng.standard_normal((n, d))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        sigs = [ImageSignature(values=v, image_id=str(i)) for i, v in enumerate(V)]
+        gt = GroundTruth(
+            entries={str(i): (frozenset({str(i ^ 1)}), frozenset()) for i in range(n)}
+        )
+        index = build_index(sigs)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            report = evaluate_map(sigs, index, gt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_query) == n
+        assert peak < 8 << 20
 
 
 class TestGroundTruth:
