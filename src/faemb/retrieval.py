@@ -9,22 +9,29 @@ ranking before scoring (later items close up), the query itself is always
 removed, and average precision is the mean of precision at each relevant
 item's rank.
 
+Real distances are defined by :func:`_squared_scan`: the sum of squared
+differences, then sqrt.  A top-k ``search`` and ``evaluate_map`` find the
+rows that matter from ``S = |q|^2 + |v|^2 - 2 q.v`` (one GEMV per query, one
+GEMM per block of queries) and re-score only those rows exactly.  ``S``
+differs from the exact sum by at most ``3 gamma_(D+2) (|q| + |v|)^2`` plus an
+underflow term (:func:`_error_bound`), whatever the BLAS summation order or
+thread count.  A rule on that bound, widened by ``16 u`` for the ties sqrt
+creates, decides which rows are re-scored, so both return exactly what a full
+exact scan would: ``search`` keeps every row whose lower bound is not above
+the k-th smallest upper bound, ``evaluate_map`` every row whose bounds
+straddle a relevant row's exact sum.
+
 ``evaluate_map`` gives exactly the ranks that ``search`` would, without
 sorting a full ranking per query.  It scores blocks of queries at once, as
 many as keep one block's largest Q x N temporary within
 ``_SCORE_BLOCK_BYTES`` (1 MB) and its stacked queries within
 ``_SCAN_BLOCK_BYTES`` (256 KB), and only counts the rows ranked before each
 relevant row.  Binary distances come exact from one blocked XOR-popcount.
-Real distances come from one GEMM per block, ``|q|^2 + |v|^2 - 2 q.v``,
-which differs from ``search``'s sum of squared differences by at most
-``3 gamma_(D+2) (|q| + |v|)^2`` plus an underflow term, whatever the BLAS
-summation order or thread count; rows within that bound (widened by ``16 u``
-for the ties sqrt creates) of a relevant row's exact sum fall back to exact
-re-scoring with ``search``'s arithmetic and tie order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -130,34 +137,75 @@ def build_binary_index(codes: list[BinaryCode]) -> RetrievalIndex:
 
 
 _SCAN_BLOCK_BYTES = 1 << 18  # one block's difference rows stay in cache
+# python floats: the bound is rebuilt per query, numpy scalars cost more
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+_TINY = float(np.finfo(np.float64).tiny)
+_TIE_MARGIN = 16 * _UNIT_ROUNDOFF
 
 
-def _squared_scan(vectors: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distance from ``q`` to every row, a block of rows at a time.
+def _squared_scan(
+    vectors: np.ndarray, q: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distance from ``q`` to every row, or to ``vectors[rows]``.
 
-    One small buffer is reused for every block, so a query allocates no
-    N x D temporary: no fresh pages to fault in per query, whatever the
-    index size. Each row is reduced exactly as a whole-matrix
+    Rows are scanned a block at a time through one small buffer (a selection
+    is gathered into it block by block), so a query allocates no N x D
+    temporary: no fresh pages to fault in per query, whatever the index
+    size. Each row is reduced exactly as a whole-matrix
     ``((vectors - q) ** 2).sum(axis=1)`` would, so the sums do not depend
-    on the block size or on which rows are scanned together.
+    on the block size, on the selection or on which rows are scanned
+    together.
     """
-    n, width = vectors.shape
-    rows = max(1, _SCAN_BLOCK_BYTES // (8 * max(width, 1)))
-    buf = np.empty((min(rows, n), width))
+    n = len(vectors) if rows is None else len(rows)
+    width = vectors.shape[1]
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * max(width, 1)))
+    buf = np.empty((min(step, n), width))
     dist = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         b = buf[: hi - lo]
-        np.subtract(vectors[lo:hi], q, out=b)
+        if rows is None:
+            np.subtract(vectors[lo:hi], q, out=b)
+        else:
+            # "clip" writes straight into b; mode "raise" would buffer a copy
+            np.take(vectors, rows[lo:hi], axis=0, out=b, mode="clip")
+            b -= q
         np.square(b, out=b)
         b.sum(axis=1, out=dist[lo:hi])
     return dist
 
 
+def _error_bound(q_norm: float, norms: np.ndarray, width: int) -> np.ndarray:
+    """Per-row bound on ``|S - s|``, the GEMM form against the exact scan.
+
+    ``S = |q|^2 + |v|^2 - 2 q.v`` in any summation order and ``s`` the sum
+    :func:`_squared_scan` computes for the same row satisfy ``|S - s| <= 3
+    gamma_(D+2) (|q| + |v|)^2 + (D + 4) tiny``, with ``gamma_n = n u / (1 -
+    n u)``, ``u = 2^-53`` and ``tiny`` the smallest normal double.  Each of
+    ``S`` and ``s`` is within ``gamma_(D+2) (|q| + |v|)^2`` of the true
+    squared distance whatever the summation order, so the bound holds for
+    any BLAS blocking and thread count; the third ``gamma`` absorbs the
+    rounding of the norms, of the bound itself and of ``S`` plus or minus
+    it, and the ``tiny`` term covers underflow with at least ``tiny`` to
+    spare.  ``norms`` are the rows' norms, ``q_norm`` the query's.
+    """
+    ops = width + 2
+    err = q_norm + norms
+    err *= err
+    err *= 3.0 * ops * _UNIT_ROUNDOFF / (1.0 - ops * _UNIT_ROUNDOFF)  # 3 gamma_(D+2)
+    err += (width + 4) * _TINY
+    return err
+
+
 def _query_vector(
     query: ImageSignature | BinaryCode | np.ndarray, index: RetrievalIndex
 ) -> np.ndarray:
-    """The query as a row comparable with ``index.vectors``, after the checks."""
+    """The query as a row comparable with ``index.vectors``, after the checks.
+
+    A real query must be finite with a finite squared norm, the rule
+    :class:`RetrievalIndex` applies to its rows: the error bound the ranking
+    relies on holds only then.
+    """
     if isinstance(query, ImageSignature):
         if index.mode != "real":
             raise ValueError("real-valued query against a binary index")
@@ -173,8 +221,11 @@ def _query_vector(
         if index.mode != "real":
             raise ValueError("raw-array queries are only supported for real indexes")
         q = q.astype(np.float64)
-    if index.mode == "real" and q.shape != (index.width,):
-        raise ValueError(f"query length {q.shape} != index width {index.width}")
+    if index.mode == "real":
+        if q.shape != (index.width,):
+            raise ValueError(f"query length {q.shape} != index width {index.width}")
+        if not math.isfinite(np.vdot(q, q)):  # vdot, unlike q @ q, never warns
+            raise ValueError("real queries must be finite, with a finite squared norm")
     return q
 
 
@@ -183,8 +234,55 @@ def search(
     index: RetrievalIndex,
     k: int | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-``k`` (all if None) index entries by ascending distance to ``query``."""
+    """Top-``k`` (all if None) index entries by ascending distance to ``query``.
+
+    Distances are sqrt of :func:`_squared_scan`'s sums (Hamming counts for a
+    binary index), ties broken by row; ``k`` must be None or ``>= 0``.
+
+    A real top-k with ``k < N`` re-scores only candidate rows.  One GEMV
+    gives ``S = |v|^2 + |q|^2 - 2 V.q`` and :func:`_error_bound` its bound
+    ``err``, so each row's exact sum ``s`` lies in ``[S - err, S + err]``
+    (both ends as computed; the bound's spare ``gamma`` covers their
+    rounding).  Let ``T`` be the k-th smallest ``S + err``; the candidates
+    are every row whose ``S - err`` is not above ``T (1 + 16 u)``.  They are
+    re-scored with :func:`_squared_scan`'s arithmetic and ordered by (key,
+    row), ``key = sqrt(s)``; the first k are the answer.
+
+    * Every true top-k row is a candidate.  At least k rows have ``s <= S +
+      err <= T``, so the k-th smallest exact sum ``s_k`` is at most ``T``;
+      sqrt is monotone, so the k-th smallest key is ``fl(sqrt(s_k))``.  A
+      true top-k row ``r`` has ``key_r <= fl(sqrt(s_k))``, and as sqrt is
+      correctly rounded, ``s_r <= s_k (1 + u)^2 / (1 - u)^2 < T (1 + 16 u)``;
+      ``S_r - err_r <= s_r`` keeps it.  (Where ``T (1 + 16 u)`` underflows,
+      the bound's spare ``tiny`` covers the lost margin.)
+    * Every row that sqrt ties with the k-th is a candidate: it has ``key_r =
+      fl(sqrt(s_k))``, so the same inequality holds.
+
+    So every row outside the candidates has a key above the k-th, and the
+    first k candidates by (key, row) are the first k rows overall.  A row
+    whose bound overflows (a NaN or infinite end) is never ruled out, since
+    the test is "not above".  With ``k`` None or at least ``N`` every
+    distance is needed, so the full exact scan runs instead.
+    """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be None or >= 0, got {k}")
     q = _query_vector(query, index)
+    if k == 0:
+        return []
+    if index.mode == "real" and k is not None and k < len(index):
+        approx = index.vectors @ q
+        approx *= -2.0
+        approx += index._sq_norms
+        q_sq = q @ q
+        approx += q_sq
+        err = _error_bound(np.sqrt(q_sq), np.sqrt(index._sq_norms), index.width)
+        cut = np.partition(approx + err, k - 1)[k - 1] * (1.0 + _TIE_MARGIN)
+        approx -= err
+        rows = np.flatnonzero(~(approx > cut))
+        dist = _squared_scan(index.vectors, q, rows)
+        np.sqrt(dist, out=dist)
+        order = np.argsort(dist, kind="stable")[:k]
+        return [(index.ids[rows[i]], float(dist[i])) for i in order]
     if index.mode == "real":
         dist = _squared_scan(index.vectors, q)
         np.sqrt(dist, out=dist)
@@ -266,8 +364,6 @@ class MapReport:
 
 
 _SCORE_BLOCK_BYTES = 1 << 20  # one query block's largest Q x N temporary
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TIE_MARGIN = 16 * _UNIT_ROUNDOFF
 
 
 def _real_ranks(
@@ -289,7 +385,7 @@ def _real_ranks(
     other row is re-scored exactly and compared by (key, row).  Rows in
     ``excluded`` (junk and the query itself) never count.
     """
-    target = _squared_scan(vectors[rows], q)
+    target = _squared_scan(vectors, q, rows)
     before = (approx + err) < (target * (1.0 - _TIE_MARGIN))[:, None]
     after = (approx - err) > (target * (1.0 + _TIE_MARGIN))[:, None]
     near = (~(before | after)).any(axis=0)
@@ -301,8 +397,9 @@ def _real_ranks(
     near[rows] = False
     pool, exact_sq = rows, target
     if near.any():
-        pool = np.concatenate([rows, np.flatnonzero(near)])
-        exact_sq = np.concatenate([target, _squared_scan(vectors[pool[rows.size :]], q)])
+        near_rows = np.flatnonzero(near)
+        pool = np.concatenate([rows, near_rows])
+        exact_sq = np.concatenate([target, _squared_scan(vectors, q, near_rows)])
     key = np.sqrt(exact_sq)
     at = key[: rows.size, None]
     exact = (key < at) | ((key == at) & (pool < rows[:, None]))
@@ -328,18 +425,12 @@ def evaluate_map(
 
     Binary: one blocked XOR-popcount gives exact integer distances.
 
-    Real: one GEMM gives ``S = |q|^2 + |v|^2 - 2 q.v`` for the whole block.
-    Against the sum ``s`` that :func:`_squared_scan` computes for the same
-    row, ``|S - s| <= 3 gamma_(D+2) (|q| + |v|)^2 + (D + 4) tiny``, with
-    ``gamma_n = n u / (1 - n u)``, ``u = 2^-53`` and ``tiny`` the smallest
-    normal double.  Each of ``S`` and ``s`` is within ``gamma_(D+2) (|q| +
-    |v|)^2`` of the true squared distance whatever the summation order, so
-    the bound holds for any BLAS blocking and thread count; the third
-    ``gamma`` absorbs the rounding of the norms and of the bound itself, and
-    the ``tiny`` term covers underflow.  Only rows within that bound of a
-    relevant row's exact sum, widened by a relative margin of ``16 u`` for
-    the ties sqrt creates, are re-scored exactly (the fallback); every other
-    row is counted from ``S``.  So ranks, and with them AP, are exactly
+    Real: one GEMM gives ``S = |q|^2 + |v|^2 - 2 q.v`` for the whole block,
+    within :func:`_error_bound` of the sum ``s`` that :func:`_squared_scan`
+    computes for the same row.  Only rows within that bound of a relevant
+    row's exact sum, widened by a relative margin of ``16 u`` for the ties
+    sqrt creates, are re-scored exactly (the fallback); every other row is
+    counted from ``S``.  So ranks, and with them AP, are exactly
     those of :func:`search` plus :func:`average_precision`.
     """
     if not queries:
@@ -360,9 +451,6 @@ def evaluate_map(
     )
     if real:
         norms = np.sqrt(index._sq_norms)
-        ops = index.width + 2
-        coef = 3.0 * ops * _UNIT_ROUNDOFF / (1.0 - ops * _UNIT_ROUNDOFF)  # 3 gamma_(D+2)
-        slack = (index.width + 4) * np.finfo(np.float64).tiny
     else:
         row_order = np.arange(n)
     per_query: dict[str, float] = {}
@@ -394,10 +482,7 @@ def evaluate_map(
             if rows.size == 0:
                 ranks = rows
             elif real:
-                err = q_norms[b] + norms
-                err *= err
-                err *= coef
-                err += slack
+                err = _error_bound(q_norms[b], norms, index.width)
                 ranks = _real_ranks(scores[b], err, Q[b], index.vectors, rows, excluded)
             else:
                 key = scores[b]

@@ -6,7 +6,8 @@ test that compares the two is a genuine cross-check.  The one exception is
 ``evaluate_map_naive``: it is the per-query evaluation path built from the
 package's ``search`` and ``average_precision`` (each checked against
 ``search_naive`` and ``ap_naive``), kept as the bitwise reference for the
-batched evaluator.
+batched evaluator.  ``search_scan_naive`` is the full exact scan that a
+real top-k ``search`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -216,6 +217,15 @@ def search_naive(q, vectors, ids):
         scored.append((dist, i, ident))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(ident, dist) for dist, _, ident in scored]
+
+
+def search_scan_naive(q, vectors, ids, k=None):
+    """Real search as one full scan: the whole-matrix sum of squared
+    differences, sqrt, then a stable argsort of every row, cut to ``k``."""
+    diff = np.asarray(vectors, dtype=np.float64) - q
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    order = np.argsort(dist, kind="stable")[:k]
+    return [(ids[i], float(dist[i])) for i in order]
 
 
 def hamming_naive(bits_a, bits_b):

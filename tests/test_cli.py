@@ -10,6 +10,7 @@ import faemb.cli
 import faemb.storage
 from oracles import container_naive
 from faemb.cli import main
+from faemb.aggregate import ImageSignature
 from faemb.config import parse_config
 from faemb.storage import (
     load_codes,
@@ -17,6 +18,7 @@ from faemb.storage import (
     load_index,
     load_model,
     load_signatures,
+    save_signatures,
 )
 
 
@@ -198,6 +200,27 @@ class TestSearch:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "ValueError"
         assert "ghost" in err["message"]
+
+    def test_overflowing_query_fails_cleanly(self, workspace, tmp_path, capsys):
+        d = workspace / "clean"
+        sig = load_signatures(d / "signatures.famb")[0]
+        huge = ImageSignature(values=sig.values * 1e200, image_id=sig.image_id)
+        save_signatures(tmp_path / "huge.famb", [huge])
+        for k in ("3", "0"):
+            rc = main(
+                [
+                    "search",
+                    "--index", str(d / "index.famb"),
+                    "--queries", str(tmp_path / "huge.famb"),
+                    "--k", k,
+                ]
+            )
+            assert rc == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            payload = json.loads(err.splitlines()[-1])
+            assert payload["error"] == "ValueError"
+            assert "finite" in payload["message"]
 
 
 class TestRotationLeg:

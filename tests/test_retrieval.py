@@ -20,7 +20,7 @@ from faemb.retrieval import (
     synth_corpus,
 )
 
-from oracles import ap_naive, evaluate_map_naive, search_naive
+from oracles import ap_naive, evaluate_map_naive, search_naive, search_scan_naive
 
 
 def unit(v):
@@ -148,6 +148,128 @@ class TestSearch:
                 RetrievalIndex(
                     ids=("a", "b"), vectors=np.array([[0.0, 1.0], [bad, 0.0]]), mode="real", width=2
                 )
+
+
+def count_scans(monkeypatch):
+    """Patch ``_squared_scan`` to record how many rows each call scans."""
+    scanned = []
+    scan = retrieval._squared_scan
+
+    def counting_scan(vectors, q, rows=None):
+        scanned.append(len(vectors) if rows is None else len(rows))
+        return scan(vectors, q, rows)
+
+    monkeypatch.setattr(retrieval, "_squared_scan", counting_scan)
+    return scanned
+
+
+def top_k_case(seed):
+    """A real index and queries built to catch a top-k shortcut.
+
+    The index holds exact duplicates and one-ulp neighbours, and a group of
+    rows at exactly the same distance from a centre point, wide enough to
+    straddle the k = 1, 2 and 10 cuts; odd seeds round the rows, and every
+    third seed moves index and queries far from the origin.  The queries
+    are the centre, an index row and a random point.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 250))
+    width = int(rng.integers(1, 40))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    V = rng.standard_normal((n, width)) * scale
+    if seed % 2:
+        V = np.round(V, 1)
+    centre = rng.standard_normal(width) * scale
+    step = scale * 1e-2 * rng.standard_normal(width)
+    tied = rng.choice(n, size=min(n // 2, 14), replace=False)
+    # sign flips of one step: every squared difference is the same
+    V[tied] = centre + step * rng.choice([-1.0, 1.0], size=(tied.size, width))
+    for i in range(0, n - 2, 9):
+        V[i + 1] = V[i]
+        V[i + 2] = V[i]
+        k = int(rng.integers(width))
+        V[i + 2, k] = np.nextafter(V[i, k], np.inf)
+    queries = [centre, V[int(rng.integers(n))].copy(), rng.standard_normal(width) * scale]
+    if seed % 3 == 2:
+        offset = 1e4 * np.abs(V).max() * rng.standard_normal(width)
+        V += offset
+        queries = [q + offset for q in queries]
+    ids = tuple(f"r{i}" for i in range(n))
+    return RetrievalIndex(ids=ids, vectors=V, mode="real", width=width), queries
+
+
+def bitwise(ranking):
+    return [(rid, float(dist).hex()) for rid, dist in ranking]
+
+
+class TestTopKSearch:
+    @pytest.mark.parametrize("seed", range(9))
+    def test_bitwise_equal_full_scan(self, seed, monkeypatch):
+        index, queries = top_k_case(seed)
+        n = len(index)
+        rescored = count_scans(monkeypatch)
+        beyond_k = 0
+        for q in queries:
+            for k in (1, 2, 10, n - 1, n, n + 5, None):
+                expected = search_scan_naive(q, index.vectors, index.ids, k)
+                rescored.clear()
+                assert bitwise(search(q, index, k)) == bitwise(expected), (seed, k)
+                # one exact scan: all n rows, or the candidates of a top-k
+                (scanned,) = rescored
+                if k is None or k >= n:
+                    assert scanned == n
+                else:
+                    assert k <= scanned <= n
+                    beyond_k += scanned > k
+        # the tied group and the offset make the cut itself need re-scoring
+        assert beyond_k > 0
+
+    def test_far_offset_stays_within_one_megabyte(self, monkeypatch):
+        # the common offset puts every row inside the error bound, so the
+        # exact fallback re-scores most rows of a 15 MB index
+        rng = np.random.default_rng(9)
+        n, d = 2000, 952
+        V = rng.standard_normal((n, d)) + 1e6
+        sigs = [ImageSignature(values=v, image_id=str(i)) for i, v in enumerate(V)]
+        index = build_index(sigs)
+        gt = GroundTruth(
+            entries={str(i): (frozenset({str(i + 1), str(i + 2)}), frozenset()) for i in range(3)}
+        )
+        rescored = count_scans(monkeypatch)
+        for run in (lambda: search(V[1], index, k=10), lambda: evaluate_map(sigs[:3], index, gt)):
+            run()
+            rescored.clear()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert max(rescored) > n // 2
+            assert peak < 1 << 20
+
+    def test_negative_k_rejected(self):
+        rng = np.random.default_rng(10)
+        sigs, index = make_real_index(rng)
+        bin_index = build_binary_index([make_code([1, 0], "a"), make_code([0, 1], "b")])
+        for query, idx in ((sigs[0], index), (make_code([1, 1]), bin_index)):
+            with pytest.raises(ValueError, match="k must be"):
+                search(query, idx, k=-1)
+            assert search(query, idx, k=0) == []
+
+    def test_non_finite_query_rejected(self):
+        rng = np.random.default_rng(11)
+        sigs, index = make_real_index(rng, n=4)
+        huge = ImageSignature(values=sigs[0].values * 1e200, image_id="img0")
+        gt = GroundTruth(entries={"img0": (frozenset({"img1"}), frozenset())})
+        for query in (np.array([np.nan, 0, 0, 0, 0]), np.array([0, np.inf, 0, 0, 0]), huge):
+            for k in (None, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    search(query, index, k)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_map([huge], index, gt)
 
 
 class TestAveragePrecision:
@@ -342,14 +464,7 @@ class TestEvaluateMapBatched:
         (mean, expected), expected_warnings = run_with_warnings(
             evaluate_map_naive, queries, index, gt
         )
-        scans = []
-        scan = retrieval._squared_scan
-
-        def counting_scan(vectors, q):
-            scans.append(len(vectors))
-            return scan(vectors, q)
-
-        monkeypatch.setattr(retrieval, "_squared_scan", counting_scan)
+        scans = count_scans(monkeypatch)
         report, n_warnings = run_with_warnings(evaluate_map, queries, index, gt)
         assert report.per_query == expected
         assert report.mean_average_precision == mean
