@@ -90,8 +90,10 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             "seed",
         )
     }
-    if overrides.get("drop") is not None and overrides["drop"] < 0:
+    if overrides["drop"] == -1:
         overrides["drop"] = None  # --drop -1 means "auto"
+    elif overrides["drop"] is not None and overrides["drop"] < 0:
+        raise ValueError(f"--drop must be >= 0, or -1 for auto; got {overrides['drop']}")
     return apply_overrides(cfg, **overrides)
 
 
@@ -99,9 +101,6 @@ def _solver_params(cfg: PipelineConfig) -> SolverParams:
     return SolverParams(
         max_outer_iters=cfg.outer_iters,
         outer_tol=cfg.outer_tol,
-        newton_tol=cfg.newton_tol,
-        newton_step=cfg.newton_step,
-        newton_max_iters=cfg.newton_max_iters,
     )
 
 
@@ -185,11 +184,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     model = load_model(_require(args.coding or str(_model_path(cfg, None, "coding.famb")), "coding model"))
     sets = load_descriptors(_require(args.input or cfg.corpus_path, "descriptor"))
     ecfg = EmbeddingConfig(s1=cfg.s1, s2=cfg.s2)
-    params = _solver_params(cfg)
-    _log(f"embedding {len(sets)} images ({cfg.variant}, threads={cfg.threads})")
-    mats = parallel_map(
-        lambda s: embed_descriptor_set(s, model, ecfg, params), sets, cfg.threads
-    )
+    _log(f"embedding {len(sets)} images ({model.variant}, threads={cfg.threads})")
+    mats = parallel_map(lambda s: embed_descriptor_set(s, model, ecfg), sets, cfg.threads)
     sections: dict[str, np.ndarray | str] = {
         "model_type": "embedded",
         "ids": json.dumps([s.image_id for s in sets]),
@@ -321,13 +317,15 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    if args.k < 0:
+        raise ValueError(f"--k must be >= 0 (0 = all); got {args.k}")
     index = load_index(_require(args.index, "index"))
     queries = _load_entries(_require(args.queries, "query"))
     if args.query_id is not None:
         queries = [q for q in queries if q.image_id == args.query_id]
         if not queries:
             raise ValueError(f"query id {args.query_id!r} not present in query file")
-    k = args.k if args.k and args.k > 0 else None
+    k = args.k or None
     for q in queries:
         for rank, (rid, dist) in enumerate(search(q, index, k), start=1):
             print(f"{q.image_id}\t{rank}\t{rid}\t{dist:.6f}")

@@ -13,6 +13,11 @@ to one:
   over sign orthants.  The distance-weighted absolute values act like a
   weighted lasso, so minimizers may pin coefficients exactly to zero; the
   refinement handles those kinks that the plain damped iteration cannot.
+  The damped phase is only a warm start with fixed settings: a column hands
+  off to the refinement as soon as a step fails to lower its objective or
+  its Newton decrement is small enough, whichever comes first.  With
+  ``mu == 0`` the objective is a plain constrained least-squares problem,
+  solved directly.
 
 Both coders work on column-stacked batches (``ffaemb_gamma_batch``,
 ``faemb_gamma_batch``); the single-descriptor functions are views of them.
@@ -61,7 +66,11 @@ VARIANTS: tuple[str, ...] = ("faemb", "ffaemb")
 # reported as converged when the KKT residual is at or below this value.
 STATIONARITY_TOL = 1e-5
 
-_STALL_WINDOW = 20  # damped iterations without objective progress before refining
+# Fixed settings of the damped Newton warm start: the decrement criterion
+# ``delta^2 / 2 <= _NEWTON_TOL``, the step length and the iteration cap.
+_NEWTON_TOL = 1e-6
+_NEWTON_STEP = 0.1
+_NEWTON_MAX_ITERS = 500
 
 
 class SingularSystemError(ValueError):
@@ -114,33 +123,27 @@ class CodingModel:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs for coefficient solves and the alternating trainer."""
+    """Knobs of the alternating trainer."""
 
     max_outer_iters: int = 20
     outer_tol: float = 1e-6
-    newton_tol: float = 1e-6
-    newton_step: float = 0.1
-    newton_max_iters: int = 500
 
     def __post_init__(self) -> None:
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be >= 0")
-        if self.outer_tol <= 0 or self.newton_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.newton_step <= 1.0):
-            raise ValueError(f"newton_step must lie in (0, 1], got {self.newton_step}")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
 
 
 @dataclass(frozen=True)
 class NewtonSolution:
     """Result of one ``faemb_gamma`` solve.
 
-    ``iterations`` counts damped Newton iterations; ``refine_steps`` counts
-    orthant solves in the active-set refinement.  ``decrement_iteration`` is
-    the first iteration whose Newton decrement satisfied
-    ``delta^2 / 2 <= newton_tol`` (None if never reached).
+    ``iterations`` counts damped Newton iterations (0 when ``mu == 0``);
+    ``refine_steps`` counts orthant solves in the active-set refinement (1
+    for the direct ``mu == 0`` solve).  ``decrement_iteration`` is the
+    iteration whose Newton decrement satisfied ``delta^2 / 2 <= 1e-6`` (None
+    if the damped phase handed off, or never ran, before reaching it).
     ``stationarity`` is ``max_j |grad_j + w|`` with the sign-linearized
     gradient (``sign(0) = 0``); at a solution with exact zeros this may stay
     at the size of the corresponding penalty weight even though the point is
@@ -356,14 +359,12 @@ def ffaemb_gamma_batch(
 # Newton coder
 
 
-def faemb_gamma(
-    x: np.ndarray, model: CodingModel, params: SolverParams | None = None
-) -> NewtonSolution:
+def faemb_gamma(x: np.ndarray, model: CodingModel) -> NewtonSolution:
     """Sum-to-one coefficients for the kinked (absolute-value) objective.
 
     Single-descriptor view of :func:`faemb_gamma_batch`.
     """
-    sol = faemb_gamma_batch(_as_column(x, model), model, params)
+    sol = faemb_gamma_batch(_as_column(x, model), model)
     dec = int(sol.decrement_iterations[0])
     return NewtonSolution(
         gamma=sol.gamma[:, 0],
@@ -376,19 +377,24 @@ def faemb_gamma(
     )
 
 
-def faemb_gamma_batch(
-    X: np.ndarray, model: CodingModel, params: SolverParams | None = None
-) -> BatchNewtonSolution:
+def faemb_gamma_batch(X: np.ndarray, model: CodingModel) -> BatchNewtonSolution:
     """Coefficients for the kinked objective, column-stacked descriptors.
 
-    Phase 1 runs the damped equality-constrained Newton iteration with a
-    fixed step ``params.newton_step``, stopping each column at the decrement
-    criterion ``delta^2/2 <= params.newton_tol``, at objective stagnation, or
-    at ``params.newton_max_iters``.  Phase 2 refines to the exact minimizer by
-    walking sign orthants (each step solves the KKT system restricted to the
-    orthant's support and either accepts it or clamps/releases a coordinate).
+    Phase 1 is a warm start: damped equality-constrained Newton steps of
+    fixed length 0.1 from the uniform coefficients.  A column hands off to
+    phase 2 at the first step that fails to lower its objective (by more
+    than 1e-13 relative), when its Newton decrement meets
+    ``delta^2/2 <= 1e-6``, or after 500 steps.  Phase 2 refines to the exact
+    minimizer by walking sign orthants (each step solves the KKT system
+    restricted to the orthant's support and either accepts it or
+    clamps/releases a coordinate).  A column that met the decrement test
+    starts the walk from its Newton signs; any other starts from the signs
+    of the thresholded closed-form ridge solution.
+
+    With ``mu == 0`` (or all kink weights zero) there is no kink: the
+    bordered least-squares system is solved directly, with ``iterations`` 0
+    and ``refine_steps`` 1.
     """
-    params = params or SolverParams()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != model.dim:
         raise ValueError(f"X must be ({model.dim}, m), got shape {X.shape}")
@@ -398,6 +404,35 @@ def faemb_gamma_batch(
     H = C.T @ C
     CtX = C.T @ X
     W = _penalty_weights(X, model)
+    dec = np.full(m, -1, dtype=np.int64)
+
+    if model.mu == 0.0 or W.max() == 0.0:
+        rhs = np.concatenate([CtX, np.ones((1, m))], axis=0)
+        try:
+            Gam = np.linalg.solve(_bordered(H), rhs)[:n]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                "the constrained coding system is singular; use regularization "
+                "mu > 0 or full-rank anchors"
+            ) from exc
+        if not np.isfinite(Gam).all():
+            raise SingularSystemError(
+                "least-squares coding produced non-finite coefficients; anchors may "
+                "be rank-deficient (set mu > 0)"
+            )
+        gs = H @ Gam - CtX
+        lam = -gs.mean(axis=0)
+        resid = np.abs(gs + lam).max(axis=0)
+        return BatchNewtonSolution(
+            gamma=Gam,
+            iterations=np.zeros(m, dtype=np.int64),
+            refine_steps=np.ones(m, dtype=np.int64),
+            decrement_iterations=dec,
+            stationarity=resid,
+            kkt_residual=resid.copy(),
+            converged=resid <= STATIONARITY_TOL,
+        )
+
     scale = max(1.0, np.abs(CtX).max(), W.max())
     Minv_left = _bordered_inverse(H)[:, :n]
 
@@ -406,71 +441,45 @@ def faemb_gamma_batch(
         return 0.5 * (R * R).sum(axis=0) + (np.abs(G) * Wa).sum(axis=0)
 
     Gam = np.full((n, m), 1.0 / n)
-    dec = np.full(m, -1, dtype=np.int64)
-    iters = np.full(m, params.newton_max_iters, dtype=np.int64)
-    # the columns still iterating, with their slices of the inputs; a column
-    # is written back to Gam and dropped once it stops
+    iters = np.full(m, _NEWTON_MAX_ITERS, dtype=np.int64)
+    # the columns still iterating, with their slices of the inputs and their
+    # objective (a live column has lowered it at every step); a column is
+    # written back to Gam and dropped once it stops
     cols = np.arange(m)
     G, Xa, Ca, Wa = Gam.copy(), X, CtX, W
-    best_q = q_cols(G, Xa, Wa)
-    best_it = np.zeros(m, dtype=np.int64)
-    for it in range(1, params.newton_max_iters + 1):
+    q = q_cols(G, Xa, Wa)
+    for it in range(1, _NEWTON_MAX_ITERS + 1):
         Grad = H @ G - Ca + Wa * np.sign(G)
         Dg = -(Minv_left @ Grad)[:n]
         delta2 = np.maximum(-(Grad * Dg).sum(axis=0), 0.0)
-        hit = 0.5 * delta2 <= params.newton_tol
-        G = G + params.newton_step * Dg
+        hit = 0.5 * delta2 <= _NEWTON_TOL
+        G = G + _NEWTON_STEP * Dg
         qn = q_cols(G, Xa, Wa)
-        improved = qn < best_q - 1e-13 * np.maximum(best_q, 1.0)
-        best_q = np.where(improved, qn, best_q)
-        best_it[improved] = it
-        stop = hit | ((it - best_it) >= _STALL_WINDOW)
+        stop = hit | ~(qn < q - 1e-13 * np.maximum(q, 1.0))
+        q = qn
         if stop.any():
             Gam[:, cols[stop]] = G[:, stop]
             iters[cols[stop]] = it
             dec[cols[hit]] = it
             go = ~stop
-            cols, G, Xa, Ca, Wa = cols[go], G[:, go], Xa[:, go], Ca[:, go], Wa[:, go]
-            best_q, best_it = best_q[go], best_it[go]
+            cols, G, Xa, Ca, Wa, q = cols[go], G[:, go], Xa[:, go], Ca[:, go], Wa[:, go], q[go]
             if not cols.size:
                 break
-    Gam[:, cols] = G  # columns that used up newton_max_iters
+    Gam[:, cols] = G  # columns that used up _NEWTON_MAX_ITERS
     if not np.isfinite(Gam).all():
         raise SingularSystemError(
             "Newton iteration diverged; anchors may be rank-deficient (set mu > 0)"
         )
 
-    if model.mu == 0.0 or W.max() == 0.0:
-        rhs = np.concatenate([CtX, np.ones((1, m))], axis=0)
-        try:
-            sol = np.linalg.solve(_bordered(H), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "the constrained coding system is singular; use regularization "
-                "mu > 0 or full-rank anchors"
-            ) from exc
-        Gam = sol[:n]
-        gs = H @ Gam - CtX
-        lam = -gs.mean(axis=0)
-        resid = np.abs(gs + lam).max(axis=0)
-        return BatchNewtonSolution(
-            gamma=Gam,
-            iterations=iters,
-            refine_steps=np.ones(m, dtype=np.int64),
-            decrement_iterations=dec,
-            stationarity=resid,
-            kkt_residual=resid.copy(),
-            converged=resid <= STATIONARITY_TOL,
-        )
-
-    # warm sign patterns: converged samples trust their Newton signs, stalled
-    # samples start from the thresholded closed-form ridge solution
+    # warm sign patterns: columns that met the decrement test trust their
+    # Newton signs, the others start from the thresholded closed-form ridge
+    # solution
     sig = np.sign(Gam)
-    stall_cols = dec < 0
-    if stall_cols.any():
-        ridge = ffaemb_gamma_batch(X[:, stall_cols], model)
+    handed_off = dec < 0
+    if handed_off.any():
+        ridge = ffaemb_gamma_batch(X[:, handed_off], model)
         thresh = 0.05 * np.abs(ridge).max(axis=0, keepdims=True)
-        sig[:, stall_cols] = np.where(np.abs(ridge) > thresh, np.sign(ridge), 0.0)
+        sig[:, handed_off] = np.where(np.abs(ridge) > thresh, np.sign(ridge), 0.0)
     empty = ~sig.any(axis=0)
     if empty.any():
         sig[:, empty] = 1.0
@@ -840,14 +849,6 @@ def _update_anchors(
     return C, sweeps, converged
 
 
-def _gamma_step(
-    X: np.ndarray, model: CodingModel, params: SolverParams
-) -> np.ndarray:
-    if model.variant == "faemb":
-        return faemb_gamma_batch(X, model, params).gamma
-    return ffaemb_gamma_batch(X, model)
-
-
 def train_coding(
     X: np.ndarray,
     n: int,
@@ -860,11 +861,13 @@ def train_coding(
 
     Anchors start from :func:`kmeans_init`.  Each outer iteration updates the
     anchors for the current coefficients, then re-solves every coefficient
-    column; a per-sample safeguard keeps whichever coefficients score better
+    column with :func:`faemb.pipeline.code_batch`; a per-sample safeguard keeps whichever coefficients score better
     under the new anchors, so the recorded objective trace is non-increasing.
     Stops after ``params.max_outer_iters`` iterations or when the objective
     improves by less than ``params.outer_tol``.
     """
+    from .pipeline import code_batch  # pipeline imports this module at load time
+
     params = params or SolverParams()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -881,7 +884,7 @@ def train_coding(
 
     anchors = kmeans_init(X, n, seed=seed)
     model = CodingModel(anchors=anchors, mu=mu, variant=variant)
-    Gamma = _gamma_step(X, model, params)
+    Gamma = code_batch(X, model)
     trace = [objective(X, Gamma, model)]
     sweeps: list[int] = []
     converged: list[bool] = []
@@ -890,7 +893,7 @@ def train_coding(
         sweeps.append(n_sweeps)
         converged.append(done)
         model = replace(model, anchors=anchors)
-        fresh = _gamma_step(X, model, params)
+        fresh = code_batch(X, model)
         worse = per_sample_objective(X, fresh, model) > per_sample_objective(
             X, Gamma, model
         )

@@ -48,9 +48,6 @@ class PipelineConfig:
     variant: str = "faemb"
     outer_iters: int = 20
     outer_tol: float = 1e-6
-    newton_tol: float = 1e-6
-    newton_step: float = 0.1
-    newton_max_iters: int = 500
     seed: int = 0
     s1: float = 0.0
     s2: float = 0.0
@@ -121,9 +118,6 @@ _SCHEMA: list[tuple[str, str, str, Callable[[str], Any], Callable[[Any], str | N
     ("coding", "variant", "variant", _parse_str, _choice("faemb", "ffaemb")),
     ("coding", "outer_iters", "outer_iters", _parse_int, _ge(0)),
     ("coding", "outer_tol", "outer_tol", _parse_float, _gt(0.0)),
-    ("coding", "newton_tol", "newton_tol", _parse_float, _gt(0.0)),
-    ("coding", "newton_step", "newton_step", _parse_float, _in_unit),
-    ("coding", "newton_max_iters", "newton_max_iters", _parse_int, _ge(1)),
     ("coding", "seed", "seed", _parse_int, _any),
     ("embedding", "s1", "s1", _parse_float, _ge(0.0)),
     ("embedding", "s2", "s2", _parse_float, _ge(0.0)),

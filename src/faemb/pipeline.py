@@ -31,7 +31,6 @@ from .aggregate import (
 )
 from .coding import (
     CodingModel,
-    SolverParams,
     faemb_gamma,
     faemb_gamma_batch,
     ffaemb_gamma,
@@ -76,12 +75,10 @@ def default_drop(d: int) -> int:
     return tri_length(d)
 
 
-def code_batch(
-    X: np.ndarray, model: CodingModel, params: SolverParams | None = None
-) -> np.ndarray:
+def code_batch(X: np.ndarray, model: CodingModel) -> np.ndarray:
     """Coefficients for column-stacked descriptors under the model's variant."""
     if model.variant == "faemb":
-        return faemb_gamma_batch(X, model, params).gamma
+        return faemb_gamma_batch(X, model).gamma
     return ffaemb_gamma_batch(X, model)
 
 
@@ -89,11 +86,10 @@ def embed_descriptor_set(
     dset: DescriptorSet,
     model: CodingModel,
     cfg: EmbeddingConfig | None = None,
-    params: SolverParams | None = None,
 ) -> np.ndarray:
     """Code and embed every descriptor of one image; rows are embedded vectors."""
     X = dset.descriptors.T
-    Gamma = code_batch(X, model, params)
+    Gamma = code_batch(X, model)
     return embed_faemb_batch(X, Gamma, model, cfg)
 
 
@@ -128,10 +124,9 @@ def compute_signature(
     whitening: WhiteningModel,
     cfg: EmbeddingConfig | None = None,
     agg: AggregationParams | None = None,
-    params: SolverParams | None = None,
 ) -> ImageSignature:
     """Full per-image pipeline from raw descriptors to a unit signature."""
-    embedded = embed_descriptor_set(dset, model, cfg, params)
+    embedded = embed_descriptor_set(dset, model, cfg)
     return signature_from_embedded(embedded, whitening, agg, image_id=dset.image_id)
 
 
@@ -166,7 +161,6 @@ def benchmark_embedding(
     mu: float = 1e-2,
     seed: int = 0,
     faemb_sample: int | None = None,
-    params: SolverParams | None = None,
 ) -> BenchResult:
     """Time the single-descriptor code-and-embed path for both coders.
 
@@ -198,7 +192,7 @@ def benchmark_embedding(
     t0 = time.perf_counter()
     for i in range(faemb_sample):
         x = X[:, i]
-        sol = faemb_gamma(x, slow, params)
+        sol = faemb_gamma(x, slow)
         embed_faemb(x, sol.gamma, slow)
     faemb_us = (time.perf_counter() - t0) / faemb_sample * 1e6
 

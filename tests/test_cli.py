@@ -115,6 +115,21 @@ class TestPipelineArtifacts:
         assert len(index) == 15
 
 
+class TestEmbedLog:
+    def test_logs_the_model_variant(self, workspace, tmp_path, capsys):
+        # the configured variant defaults to faemb; the model here is ffaemb
+        d = workspace / "clean"
+        run(
+            "embed",
+            "--in", str(d / "corpus.faeb"),
+            "--coding", str(d / "coding.famb"),
+            "--out", str(tmp_path / "embedded.famb"),
+        )
+        err = capsys.readouterr().err
+        assert "(ffaemb, threads=1)" in err
+        assert "(faemb," not in err
+
+
 class TestEval:
     def test_noiseless_corpus_scores_perfect_map(self, workspace, capsys):
         d = workspace / "clean"
@@ -348,6 +363,58 @@ class TestErrorHandling:
         assert payload["error"] == "StorageError"
         assert "'values'" in payload["message"]
 
+    def test_stale_newton_config_key_exits_one_with_json_line(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[coding]\nnewton_step = 0.1\n")
+        rc = main(["config", "--config", str(cfg)])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "ConfigError"
+        assert "unknown key 'newton_step'" in payload["message"]
+
+    def test_negative_k_exits_one_with_json_line(self, workspace, capsys):
+        d = workspace / "clean"
+        rc = main(
+            [
+                "search",
+                "--index", str(d / "index.famb"),
+                "--queries", str(d / "signatures.famb"),
+                "--k", "-3",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "ValueError"
+        assert "--k" in payload["message"]
+
+    def test_drop_below_minus_one_exits_one_with_json_line(self, workspace, tmp_path, capsys):
+        d = workspace / "clean"
+        rc = main(
+            [
+                "fit-agg",
+                "--in", str(d / "embedded.famb"),
+                "--out", str(tmp_path / "whitening.famb"),
+                "--drop", "-5",
+            ]
+        )
+        assert rc == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "ValueError"
+        assert "--drop" in payload["message"]
+        assert not (tmp_path / "whitening.famb").exists()
+
+    def test_drop_minus_one_means_auto(self, capsys):
+        run("config", "--drop", "-1")
+        assert "drop=None" in capsys.readouterr().out
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--bogus", "1"])
@@ -383,6 +450,33 @@ class TestDeterminism:
                 "--out", str(out_dir / "embedded.famb"),
             )
             outs.append(out_dir)
+        for name in ("coding.famb", "embedded.famb"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_faemb_reruns_are_byte_identical(self, workspace, tmp_path):
+        corpus = workspace / "noisy" / "corpus.faeb"
+        outs = []
+        for attempt in range(2):
+            out_dir = tmp_path / f"run{attempt}"
+            out_dir.mkdir()
+            run(
+                "train-coding",
+                "--train", str(corpus),
+                "--out", str(out_dir / "coding.famb"),
+                "--n", "4",
+                "--mu", "0.01",
+                "--variant", "faemb",
+                "--seed", "0",
+            )
+            run(
+                "embed",
+                "--in", str(corpus),
+                "--coding", str(out_dir / "coding.famb"),
+                "--out", str(out_dir / "embedded.famb"),
+                "--variant", "faemb",
+            )
+            outs.append(out_dir)
+        assert load_model(outs[0] / "coding.famb").variant == "faemb"
         for name in ("coding.famb", "embedded.famb"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 

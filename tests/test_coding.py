@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from faemb.coding import (
+    STATIONARITY_TOL,
     CodingModel,
     SingularSystemError,
     SolverParams,
@@ -210,6 +211,32 @@ class TestFaembGamma:
             assert (steps >= 1).all()
             for i in range(12):
                 assert faemb_gamma(X[:, i], model).refine_steps == steps[i]
+
+    def test_damped_phase_hands_off_at_first_unproductive_step(self):
+        # paper shape with k-means anchors: the damped steps stop paying long
+        # before the decrement test, and the orthant walk still lands exactly
+        rng = np.random.default_rng(28)
+        anchors = kmeans_init(rng.standard_normal((45, 512)), 16, seed=0)
+        model = CodingModel(anchors=anchors, mu=1e-2, variant="faemb")
+        sol = faemb_gamma_batch(rng.standard_normal((45, 200)), model)
+        assert (sol.iterations < 20).all()
+        assert (sol.iterations >= 1).all()
+        assert (sol.kkt_residual <= STATIONARITY_TOL).all()
+        assert sol.converged.all()
+
+    def test_mu_zero_skips_damped_phase(self):
+        rng = np.random.default_rng(29)
+        C = rng.standard_normal((8, 5))
+        X = rng.standard_normal((8, 7))
+        model = CodingModel(anchors=C, mu=0.0, variant="faemb")
+        sol = faemb_gamma_batch(X, model)
+        assert (sol.iterations == 0).all()
+        assert (sol.refine_steps == 1).all()
+        assert (sol.decrement_iterations == -1).all()
+        single = faemb_gamma(X[:, 0], model)
+        assert single.iterations == 0
+        assert single.refine_steps == 1
+        assert single.decrement_iteration is None
 
     def test_solution_is_sparse_when_penalty_dominates(self):
         rng = np.random.default_rng(26)
@@ -518,10 +545,9 @@ class TestTrainCoding:
 
 def test_solver_params_validation():
     with pytest.raises(ValueError):
-        SolverParams(newton_step=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(newton_step=1.5)
-    with pytest.raises(ValueError):
         SolverParams(outer_tol=-1.0)
     with pytest.raises(ValueError):
-        SolverParams(newton_max_iters=0)
+        SolverParams(outer_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverParams(max_outer_iters=-1)
+    assert SolverParams(max_outer_iters=0).max_outer_iters == 0

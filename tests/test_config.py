@@ -55,11 +55,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="0, 1"):
             parse_config("[aggregation]\nalpha = 1.5\n")
         with pytest.raises(ConfigError):
-            parse_config("[coding]\nnewton_step = 0\n")
+            parse_config("[coding]\nouter_tol = 0\n")
         with pytest.raises(ConfigError):
             parse_config("[runtime]\nthreads = 0\n")
         with pytest.raises(ConfigError):
             parse_config("[whitening]\ndrop = -3\n")
+
+    def test_newton_keys_are_unknown(self):
+        # the Newton coder's settings are fixed; a file naming them is stale
+        for key in ("newton_tol", "newton_step", "newton_max_iters"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"[coding]\n{key} = 1\n")
 
     def test_non_finite_floats_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):

@@ -15,6 +15,24 @@ def test_demos_found():
     assert DEMOS
 
 
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Quickstart (library)")
+    block = text[text.index("```python\n", start) + len("```python\n") :]
+    block = block[: block.index("```")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert 0.0 <= float(proc.stdout.strip().splitlines()[-1]) <= 1.0
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
