@@ -37,8 +37,10 @@ g_fast = ffaemb_gamma(x, model_fast)
 print("closed-form gamma:", np.round(g_fast, 4))
 print("  sums to one:", abs(g_fast.sum() - 1.0))
 
-# The Newton coder: damped Newton plus an exact refinement pass.  The
-# result object reports iteration counts and the final KKT residual.
+# The Newton coder: a few damped Newton steps, then an exact refinement pass
+# that walks sign orthants from the last damped point, starting in the
+# orthant of that point's own signs.  The result object reports iteration
+# counts and the final KKT residual.
 res = faemb_gamma(x, model_tight)
 print("newton gamma:     ", np.round(res.gamma, 4))
 print(f"  iterations={res.iterations} refine_steps={res.refine_steps} "

@@ -41,6 +41,12 @@ __all__ = [
 
 _ZERO_NORM = 1e-10  # descriptors below this norm are excluded from weighting
 
+# Fixed settings of democratic weighting: the residual it must meet, the cap
+# on diagonal-scaling iterations and the cap on Newton polish steps.
+_DEM_TOL = 1e-3
+_DEM_MAX_ITERS = 100
+_POLISH_MAX_STEPS = 25
+
 
 @dataclass(frozen=True)
 class WhiteningModel:
@@ -198,15 +204,14 @@ def whiten_batch(Phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
     return (Phi - model.mean) @ model._basis
 
 
-def democratic_weights(
-    Phi_w: np.ndarray, max_iters: int = 100, tol: float = 1e-3
-) -> DemocraticResult:
+def democratic_weights(Phi_w: np.ndarray) -> DemocraticResult:
     """Per-descriptor weights equalizing contributions to the aggregate.
 
     Solves for ``lam >= 0`` with ``lam_i * (phi_i . sum_j lam_j phi_j) = 1``
-    for every descriptor of non-negligible norm, by diagonal scaling on the
-    Gram matrix followed by a damped Newton cleanup when scaling alone has
-    not met ``tol``.  Descriptors with norm below 1e-10 get weight 0 and are
+    for every descriptor of non-negligible norm, by up to 100 diagonal
+    scaling iterations on the clipped Gram matrix followed by up to 25 damped
+    Newton steps on the unclipped one when scaling alone has not brought the
+    residual to 1e-3.  Descriptors with norm below 1e-10 get weight 0 and are
     excluded from the condition.
     """
     Phi = np.asarray(Phi_w, dtype=np.float64)
@@ -230,18 +235,18 @@ def democratic_weights(
     best = lam.copy()
     best_res = residual_of(lam)
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _DEM_MAX_ITERS + 1):
         s = lam * (Kpos @ lam)
         s = np.maximum(s, np.finfo(np.float64).tiny)
         lam = lam / np.sqrt(s)
         res = residual_of(lam)
         if res < best_res:
             best, best_res = lam.copy(), res
-        if res <= tol:
+        if res <= _DEM_TOL:
             break
     lam = best
-    if best_res > tol:
-        lam, best_res, extra = _newton_polish(K, lam, tol)
+    if best_res > _DEM_TOL:
+        lam, best_res, extra = _newton_polish(K, lam)
         it += extra
     weights = np.zeros(N)
     weights[active] = lam
@@ -249,21 +254,19 @@ def democratic_weights(
         weights=weights,
         residual=best_res,
         iterations=it,
-        converged=best_res <= tol,
+        converged=best_res <= _DEM_TOL,
     )
 
 
-def _newton_polish(
-    K: np.ndarray, lam: np.ndarray, tol: float, max_steps: int = 25
-) -> tuple[np.ndarray, float, int]:
+def _newton_polish(K: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Damped Newton steps on F(lam) = lam*(K lam) - 1, keeping lam > 0."""
     def res(v: np.ndarray) -> float:
         return float(np.abs(v * (K @ v) - 1.0).max())
 
     cur = res(lam)
     steps = 0
-    for steps in range(1, max_steps + 1):
-        if cur <= 0.1 * tol:
+    for steps in range(1, _POLISH_MAX_STEPS + 1):
+        if cur <= 0.1 * _DEM_TOL:
             break
         Kl = K @ lam
         F = lam * Kl - 1.0

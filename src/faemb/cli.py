@@ -97,13 +97,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return apply_overrides(cfg, **overrides)
 
 
-def _solver_params(cfg: PipelineConfig) -> SolverParams:
-    return SolverParams(
-        max_outer_iters=cfg.outer_iters,
-        outer_tol=cfg.outer_tol,
-    )
-
-
 def _model_path(cfg: PipelineConfig, override: str | None, default_name: str) -> Path:
     if override:
         return Path(override)
@@ -167,9 +160,8 @@ def _cmd_train_coding(args: argparse.Namespace) -> int:
         f"training {cfg.variant} coding: n={cfg.n}, mu={cfg.mu}, "
         f"{X.shape[1]} descriptors of dim {X.shape[0]}"
     )
-    result = train_coding(
-        X, cfg.n, cfg.mu, cfg.variant, params=_solver_params(cfg), seed=cfg.seed
-    )
+    params = SolverParams(max_outer_iters=cfg.outer_iters)
+    result = train_coding(X, cfg.n, cfg.mu, cfg.variant, params=params, seed=cfg.seed)
     out = _model_path(cfg, args.out, "coding.famb")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, result.model)
@@ -206,6 +198,8 @@ def _load_embedded(path: Path) -> tuple[list[str], list[np.ndarray], int, int]:
     if sections.get("model_type") != "embedded":
         raise StorageError(f"{path}: not an embedded-vector file")
     ids = json.loads(str(sections["ids"]))
+    if not ids:
+        raise StorageError(f"{path}: embedded-vector file holds no images")
     n = int(sections["n"])
     d = int(sections["d"])
     mats = [sections[f"emb/{i:06d}"] for i in range(len(ids))]
@@ -231,9 +225,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ids, mats, _, _ = _load_embedded(_require(args.input, "embedded-vector"))
     whitening = load_model(_require(args.whitening or str(_model_path(cfg, None, "whitening.famb")), "whitening model"))
-    agg = AggregationParams(
-        mode=cfg.mode, alpha=cfg.alpha, dem_iters=cfg.dem_iters, dem_tol=cfg.dem_tol
-    )
+    agg = AggregationParams(mode=cfg.mode, alpha=cfg.alpha)
     rn = load_model(_require(args.rn, "rotation model")) if args.rn else None
     _log(f"aggregating {len(ids)} images (mode={cfg.mode}, alpha={cfg.alpha})")
     sigs = parallel_map(

@@ -15,7 +15,8 @@ to one:
   refinement handles those kinks that the plain damped iteration cannot.
   The damped phase is only a warm start with fixed settings: a column hands
   off to the refinement as soon as a step fails to lower its objective or
-  its Newton decrement is small enough, whichever comes first.  With
+  its Newton decrement is small enough, whichever comes first, and the
+  refinement starts from that last damped point and its own signs.  With
   ``mu == 0`` the objective is a plain constrained least-squares problem,
   solved directly.
 
@@ -72,6 +73,9 @@ _NEWTON_TOL = 1e-6
 _NEWTON_STEP = 0.1
 _NEWTON_MAX_ITERS = 500
 
+# The trainer stops once an outer iteration changes the objective by less.
+_OUTER_TOL = 1e-6
+
 
 class SingularSystemError(ValueError):
     """Raised when a coding system is singular; typically mu == 0 with
@@ -126,13 +130,10 @@ class SolverParams:
     """Knobs of the alternating trainer."""
 
     max_outer_iters: int = 20
-    outer_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be >= 0")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,21 +142,18 @@ class NewtonSolution:
 
     ``iterations`` counts damped Newton iterations (0 when ``mu == 0``);
     ``refine_steps`` counts orthant solves in the active-set refinement (1
-    for the direct ``mu == 0`` solve).  ``decrement_iteration`` is the
-    iteration whose Newton decrement satisfied ``delta^2 / 2 <= 1e-6`` (None
-    if the damped phase handed off, or never ran, before reaching it).
-    ``stationarity`` is ``max_j |grad_j + w|`` with the sign-linearized
-    gradient (``sign(0) = 0``); at a solution with exact zeros this may stay
-    at the size of the corresponding penalty weight even though the point is
-    optimal, which is what ``kkt_residual`` measures (it accounts for the
-    subdifferential at zero).
+    for the direct ``mu == 0`` solve), which starts from the last damped
+    point and its signs.  ``decrement_iteration`` is the iteration whose
+    Newton decrement satisfied ``delta^2 / 2 <= 1e-6`` (None if the damped
+    phase handed off, or never ran, before reaching it).  ``kkt_residual``
+    is the largest violation of the optimality conditions, counting the
+    subdifferential at zero coefficients.
     """
 
     gamma: np.ndarray
     iterations: int
     refine_steps: int
     decrement_iteration: int | None
-    stationarity: float
     kkt_residual: float
     converged: bool
 
@@ -172,7 +170,6 @@ class BatchNewtonSolution:
     iterations: np.ndarray
     refine_steps: np.ndarray
     decrement_iterations: np.ndarray
-    stationarity: np.ndarray
     kkt_residual: np.ndarray
     converged: np.ndarray
 
@@ -371,7 +368,6 @@ def faemb_gamma(x: np.ndarray, model: CodingModel) -> NewtonSolution:
         iterations=int(sol.iterations[0]),
         refine_steps=int(sol.refine_steps[0]),
         decrement_iteration=dec if dec >= 0 else None,
-        stationarity=float(sol.stationarity[0]),
         kkt_residual=float(sol.kkt_residual[0]),
         converged=bool(sol.converged[0]),
     )
@@ -387,9 +383,9 @@ def faemb_gamma_batch(X: np.ndarray, model: CodingModel) -> BatchNewtonSolution:
     ``delta^2/2 <= 1e-6``, or after 500 steps.  Phase 2 refines to the exact
     minimizer by walking sign orthants (each step solves the KKT system
     restricted to the orthant's support and either accepts it or
-    clamps/releases a coordinate).  A column that met the decrement test
-    starts the walk from its Newton signs; any other starts from the signs
-    of the thresholded closed-form ridge solution.
+    clamps/releases a coordinate).  Every column starts the walk from its
+    last damped point, in the orthant of that point's own signs; the point
+    sums to one, so at least one sign is nonzero.
 
     With ``mu == 0`` (or all kink weights zero) there is no kink: the
     bordered least-squares system is solved directly, with ``iterations`` 0
@@ -428,8 +424,7 @@ def faemb_gamma_batch(X: np.ndarray, model: CodingModel) -> BatchNewtonSolution:
             iterations=np.zeros(m, dtype=np.int64),
             refine_steps=np.ones(m, dtype=np.int64),
             decrement_iterations=dec,
-            stationarity=resid,
-            kkt_residual=resid.copy(),
+            kkt_residual=resid,
             converged=resid <= STATIONARITY_TOL,
         )
 
@@ -471,36 +466,20 @@ def faemb_gamma_batch(X: np.ndarray, model: CodingModel) -> BatchNewtonSolution:
             "Newton iteration diverged; anchors may be rank-deficient (set mu > 0)"
         )
 
-    # warm sign patterns: columns that met the decrement test trust their
-    # Newton signs, the others start from the thresholded closed-form ridge
-    # solution
-    sig = np.sign(Gam)
-    handed_off = dec < 0
-    if handed_off.any():
-        ridge = ffaemb_gamma_batch(X[:, handed_off], model)
-        thresh = 0.05 * np.abs(ridge).max(axis=0, keepdims=True)
-        sig[:, handed_off] = np.where(np.abs(ridge) > thresh, np.sign(ridge), 0.0)
-    empty = ~sig.any(axis=0)
-    if empty.any():
-        sig[:, empty] = 1.0
-
     lam_final = np.zeros(m)
-    refine = _orthant_walk_batch(H, CtX, W, Gam, sig, lam_final, scale)
+    refine = _orthant_walk_batch(H, CtX, W, Gam, np.sign(Gam), lam_final, scale)
 
     gs = H @ Gam - CtX
-    g = gs + W * np.sign(Gam)
-    stationarity = np.abs(g + lam_final).max(axis=0)
     kkt = np.where(
         Gam == 0.0,
         np.maximum(np.abs(gs + lam_final) - W, 0.0),
-        np.abs(g + lam_final),
+        np.abs(gs + W * np.sign(Gam) + lam_final),
     ).max(axis=0)
     return BatchNewtonSolution(
         gamma=Gam,
         iterations=iters,
         refine_steps=refine,
         decrement_iterations=dec,
-        stationarity=stationarity,
         kkt_residual=kkt,
         converged=kkt <= STATIONARITY_TOL,
     )
@@ -864,7 +843,7 @@ def train_coding(
     column with :func:`faemb.pipeline.code_batch`; a per-sample safeguard keeps whichever coefficients score better
     under the new anchors, so the recorded objective trace is non-increasing.
     Stops after ``params.max_outer_iters`` iterations or when the objective
-    improves by less than ``params.outer_tol``.
+    changes by less than 1e-6.
     """
     from .pipeline import code_batch  # pipeline imports this module at load time
 
@@ -901,7 +880,7 @@ def train_coding(
             fresh[:, worse] = Gamma[:, worse]
         Gamma = fresh
         trace.append(objective(X, Gamma, model))
-        if abs(trace[-1] - trace[-2]) < params.outer_tol:
+        if abs(trace[-1] - trace[-2]) < _OUTER_TOL:
             break
     return TrainResult(
         model=model,

@@ -47,15 +47,12 @@ class PipelineConfig:
     mu: float = 1e-2
     variant: str = "faemb"
     outer_iters: int = 20
-    outer_tol: float = 1e-6
     seed: int = 0
     s1: float = 0.0
     s2: float = 0.0
     drop: int | None = None
     mode: str = "democratic"
     alpha: float = 0.5
-    dem_iters: int = 100
-    dem_tol: float = 1e-3
     keep: int = 128
     bits: int = 256
     itq_iters: int = 50
@@ -87,10 +84,6 @@ def _ge(limit: float) -> Callable[[Any], str | None]:
     return lambda v: None if v >= limit else f"must be >= {limit}"
 
 
-def _gt(limit: float) -> Callable[[Any], str | None]:
-    return lambda v: None if v > limit else f"must be > {limit}"
-
-
 def _in_unit(v: float) -> str | None:
     return None if 0.0 < v <= 1.0 else "must lie in (0, 1]"
 
@@ -117,15 +110,12 @@ _SCHEMA: list[tuple[str, str, str, Callable[[str], Any], Callable[[Any], str | N
     ("coding", "mu", "mu", _parse_float, _ge(0.0)),
     ("coding", "variant", "variant", _parse_str, _choice("faemb", "ffaemb")),
     ("coding", "outer_iters", "outer_iters", _parse_int, _ge(0)),
-    ("coding", "outer_tol", "outer_tol", _parse_float, _gt(0.0)),
     ("coding", "seed", "seed", _parse_int, _any),
     ("embedding", "s1", "s1", _parse_float, _ge(0.0)),
     ("embedding", "s2", "s2", _parse_float, _ge(0.0)),
     ("whitening", "drop", "drop", _parse_drop, _drop_ok),
     ("aggregation", "mode", "mode", _parse_str, _choice("democratic", "sum")),
     ("aggregation", "alpha", "alpha", _parse_float, _in_unit),
-    ("aggregation", "dem_iters", "dem_iters", _parse_int, _ge(1)),
-    ("aggregation", "dem_tol", "dem_tol", _parse_float, _gt(0.0)),
     ("rotation", "keep", "keep", _parse_int, _ge(1)),
     ("itq", "bits", "bits", _parse_int, _ge(1)),
     ("itq", "iters", "itq_iters", _parse_int, _ge(0)),

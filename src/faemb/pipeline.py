@@ -62,8 +62,6 @@ class AggregationParams:
 
     mode: str = "democratic"
     alpha: float = 0.5
-    dem_iters: int = 100
-    dem_tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.mode not in ("democratic", "sum"):
@@ -104,9 +102,7 @@ def signature_from_embedded(
     Pw = whiten_batch(embedded, whitening)
     if agg.mode == "democratic":
         try:
-            weights = democratic_weights(
-                Pw, max_iters=agg.dem_iters, tol=agg.dem_tol
-            ).weights
+            weights = democratic_weights(Pw).weights
         except ValueError:
             # every descriptor whitened to (near-)zero: degenerate image
             return ImageSignature(

@@ -123,6 +123,8 @@ def load_descriptors(path: str | Path) -> list[DescriptorSet]:
     (stored_crc,) = struct.unpack("<I", buf[-4:])
     if zlib.crc32(payload) != stored_crc:
         raise StorageError("checksum mismatch; descriptor file is corrupted")
+    if count == 0:
+        raise StorageError(f"{path}: descriptor file holds no images")
     sets: list[DescriptorSet] = []
     pos = 0
     for _ in range(count):
@@ -420,6 +422,8 @@ def _signatures_from_sections(sections: dict, path) -> list[ImageSignature]:
     degenerate = _expect(sections, "degenerate", path)
     if len(ids) != values.shape[0]:
         raise StorageError(f"{path}: id count does not match value rows")
+    if not ids:
+        raise StorageError(f"{path}: signature file holds no entries")
     return [
         ImageSignature(values=values[i], image_id=ids[i], degenerate=bool(degenerate[i]))
         for i in range(len(ids))
@@ -456,6 +460,8 @@ def _codes_from_sections(sections: dict, path) -> list[BinaryCode]:
     bits = int(_expect(sections, "n_bits", path))
     if len(ids) != packed.shape[0]:
         raise StorageError(f"{path}: id count does not match code rows")
+    if not ids:
+        raise StorageError(f"{path}: code file holds no entries")
     return [
         BinaryCode(packed=packed[i], n_bits=bits, image_id=ids[i])
         for i in range(len(ids))

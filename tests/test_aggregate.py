@@ -121,7 +121,7 @@ class TestDemocraticWeights:
         base = rng.standard_normal((12, 8))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
         Phi = base + 0.25 * rng.standard_normal((12, 8))
-        res = democratic_weights(Phi, max_iters=100, tol=1e-3)
+        res = democratic_weights(Phi)
         assert res.converged
         psi = aggregate_image(Phi, res.weights)
         contrib = res.weights * (Phi @ psi)
@@ -150,7 +150,7 @@ class TestDemocraticWeights:
         # two anti-parallel rows: lam_i (K lam)_i = 1 needs both products
         # positive, impossible with lam >= 0
         Phi = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        res = democratic_weights(Phi, max_iters=50, tol=1e-3)
+        res = democratic_weights(Phi)
         assert not res.converged
         assert res.residual > 1e-3
 

@@ -27,6 +27,15 @@ def run(*argv):
     assert rc == 0, f"command failed: {argv}"
 
 
+def assert_one_storage_error(capsys, path):
+    """stderr holds one JSON line: a StorageError naming ``path``."""
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    payload = json.loads(err_lines[0])
+    assert payload["error"] == "StorageError"
+    assert str(path) in payload["message"]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Two end-to-end CLI runs: a noiseless corpus and a noisy one.
@@ -364,15 +373,79 @@ class TestErrorHandling:
         assert "'values'" in payload["message"]
 
     def test_stale_newton_config_key_exits_one_with_json_line(self, tmp_path, capsys):
+        # solver settings that became fixed constants are stale keys
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("[coding]\nnewton_step = 0.1\n")
+        cfg.write_text(
+            "[coding]\nnewton_step = 0.1\nouter_tol = 1e-6\n"
+            "[aggregation]\ndem_iters = 100\ndem_tol = 1e-3\n"
+        )
         rc = main(["config", "--config", str(cfg)])
         assert rc == 1
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         payload = json.loads(err_lines[0])
         assert payload["error"] == "ConfigError"
-        assert "unknown key 'newton_step'" in payload["message"]
+        for key in ("newton_step", "outer_tol", "dem_iters", "dem_tol"):
+            assert f"unknown key '{key}'" in payload["message"]
+
+    def test_embed_of_empty_descriptor_file_exits_one_with_json_line(
+        self, workspace, tmp_path, capsys
+    ):
+        empty = tmp_path / "empty.faeb"
+        empty.write_bytes(
+            struct.pack("<4sIIQ", b"FAEB", 1, 6, 0) + struct.pack("<I", zlib.crc32(b""))
+        )
+        rc = main(
+            [
+                "embed",
+                "--in", str(empty),
+                "--coding", str(workspace / "clean" / "coding.famb"),
+                "--out", str(tmp_path / "embedded.famb"),
+            ]
+        )
+        assert rc == 1
+        assert_one_storage_error(capsys, empty)
+
+    def test_aggregate_of_empty_embedded_file_exits_one_with_json_line(self, tmp_path, capsys):
+        empty = tmp_path / "embedded.famb"
+        empty.write_bytes(
+            container_naive(
+                {"model_type": "embedded", "ids": "[]", "n": np.int64(4), "d": np.int64(6)}
+            )
+        )
+        rc = main(
+            [
+                "aggregate",
+                "--in", str(empty),
+                "--whitening", str(tmp_path / "whitening.famb"),
+                "--out", str(tmp_path / "signatures.famb"),
+            ]
+        )
+        assert rc == 1
+        assert_one_storage_error(capsys, empty)
+
+    def test_index_of_empty_entry_file_exits_one_with_json_line(self, tmp_path, capsys):
+        files = {
+            "sigs.famb": {
+                "model_type": "signatures",
+                "ids": "[]",
+                "values": np.zeros((0, 4)),
+                "degenerate": np.zeros(0, dtype=np.uint8),
+            },
+            "codes.famb": {
+                "model_type": "codes",
+                "ids": "[]",
+                "packed": np.zeros((0, 8), dtype=np.uint8),
+                "n_bits": np.int64(64),
+            },
+        }
+        for name, sections in files.items():
+            path = tmp_path / name
+            path.write_bytes(container_naive(sections))
+            rc = main(["index", "--in", str(path), "--out", str(tmp_path / "index.famb")])
+            assert rc == 1
+            assert_one_storage_error(capsys, path)
+        assert not (tmp_path / "index.famb").exists()
 
     def test_negative_k_exits_one_with_json_line(self, workspace, capsys):
         d = workspace / "clean"

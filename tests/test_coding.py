@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import faemb.coding
 from faemb.coding import (
     STATIONARITY_TOL,
     CodingModel,
@@ -222,6 +223,20 @@ class TestFaembGamma:
         assert (sol.iterations < 20).all()
         assert (sol.iterations >= 1).all()
         assert (sol.kkt_residual <= STATIONARITY_TOL).all()
+        assert sol.converged.all()
+
+    def test_walk_starts_from_damped_point_without_closed_form_solve(self, monkeypatch):
+        # every column, handed off or not, starts the orthant walk from its
+        # own damped point; no closed-form ridge solve supplies start signs
+        def refuse(*args, **kwargs):
+            raise AssertionError("faemb_gamma_batch called ffaemb_gamma_batch")
+
+        rng = np.random.default_rng(28)
+        anchors = kmeans_init(rng.standard_normal((45, 512)), 16, seed=0)
+        model = CodingModel(anchors=anchors, mu=1e-2, variant="faemb")
+        monkeypatch.setattr(faemb.coding, "ffaemb_gamma_batch", refuse)
+        sol = faemb_gamma_batch(rng.standard_normal((45, 200)), model)
+        assert (sol.decrement_iterations == -1).all()  # every column handed off
         assert sol.converged.all()
 
     def test_mu_zero_skips_damped_phase(self):
@@ -544,10 +559,9 @@ class TestTrainCoding:
 
 
 def test_solver_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(outer_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(outer_tol=0.0)
+    # the outer tolerance is a fixed constant, not a parameter
+    with pytest.raises(TypeError):
+        SolverParams(outer_tol=1e-6)
     with pytest.raises(ValueError):
         SolverParams(max_outer_iters=-1)
     assert SolverParams(max_outer_iters=0).max_outer_iters == 0

@@ -55,23 +55,30 @@ class TestParse:
         with pytest.raises(ConfigError, match="0, 1"):
             parse_config("[aggregation]\nalpha = 1.5\n")
         with pytest.raises(ConfigError):
-            parse_config("[coding]\nouter_tol = 0\n")
+            parse_config("[coding]\nouter_iters = -1\n")
         with pytest.raises(ConfigError):
             parse_config("[runtime]\nthreads = 0\n")
         with pytest.raises(ConfigError):
             parse_config("[whitening]\ndrop = -3\n")
 
     def test_newton_keys_are_unknown(self):
-        # the Newton coder's settings are fixed; a file naming them is stale
-        for key in ("newton_tol", "newton_step", "newton_max_iters"):
+        # the solver settings are fixed constants; a file naming them is stale
+        for section, key in (
+            ("coding", "newton_tol"),
+            ("coding", "newton_step"),
+            ("coding", "newton_max_iters"),
+            ("coding", "outer_tol"),
+            ("aggregation", "dem_iters"),
+            ("aggregation", "dem_tol"),
+        ):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-                parse_config(f"[coding]\n{key} = 1\n")
+                parse_config(f"[{section}]\n{key} = 1\n")
 
     def test_non_finite_floats_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("[coding]\nmu = nan\n")
         with pytest.raises(ConfigError, match="cannot parse"):
-            parse_config("[coding]\nouter_tol = inf\n")
+            parse_config("[aggregation]\nalpha = inf\n")
 
     def test_unparseable_structure_wrapped(self):
         with pytest.raises(ConfigError):

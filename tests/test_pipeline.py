@@ -65,7 +65,7 @@ class TestSignatureFromEmbedded:
         agg = AggregationParams(mode="democratic", alpha=0.5)
         got = signature_from_embedded(embedded[0], whitening, agg, image_id="img0")
         Pw = whiten_batch(embedded[0], whitening)
-        w = democratic_weights(Pw, max_iters=agg.dem_iters, tol=agg.dem_tol).weights
+        w = democratic_weights(Pw).weights
         manual = l2_normalize(power_law(aggregate_image(Pw, w), 0.5), image_id="img0")
         np.testing.assert_allclose(got.values, manual.values, atol=1e-12)
         assert got.image_id == "img0"
