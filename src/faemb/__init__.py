@@ -63,11 +63,7 @@ from .core import (
     DescriptorSet,
     l1_dist_cubed,
     l1_dist_cubed_batch,
-    residual_tensor,
     stack_descriptors,
-    sym_flatten,
-    sym_unflatten,
-    tri_dim,
     tri_length,
 )
 from .embed import (

@@ -23,9 +23,10 @@ to one:
 Both coders work on column-stacked batches (``ffaemb_gamma_batch``,
 ``faemb_gamma_batch``); the single-descriptor functions are views of them.
 
-``train_coding`` alternates per-sample coefficient solves with exact
-coordinate-descent updates of the anchors (``update_anchors``), keeping the
-batch objective non-increasing.
+``train_coding`` alternates per-sample coefficient solves with at most three
+exact coordinate-descent sweeps over the anchors, keeping the batch objective
+non-increasing; ``update_anchors`` runs the same sweeps to a stationary
+point.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ _NEWTON_MAX_ITERS = 500
 
 # The trainer stops once an outer iteration changes the objective by less.
 _OUTER_TOL = 1e-6
+# Exact anchor sweeps per outer iteration of the trainer; the next
+# coefficient solve changes the problem, so sweeping to a stationary point
+# would be redone.
+_TRAIN_SWEEPS = 3
 
 
 class SingularSystemError(ValueError):
@@ -178,16 +183,13 @@ class BatchNewtonSolution:
 class TrainResult:
     """Trained model, final coefficients and the objective trace.
 
-    ``anchor_sweeps`` and ``anchor_converged`` hold one entry per outer
-    iteration: the coordinate-descent sweeps the anchor update ran, and
-    whether its move test stopped them before the sweep cap.
+    ``trace`` holds the batch objective before the first outer iteration and
+    after each one; it is the trainer's convergence record.
     """
 
     model: CodingModel
     gamma: np.ndarray
     trace: np.ndarray
-    anchor_sweeps: np.ndarray
-    anchor_converged: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +386,9 @@ def faemb_gamma_batch(X: np.ndarray, model: CodingModel) -> BatchNewtonSolution:
     minimizer by walking sign orthants (each step solves the KKT system
     restricted to the orthant's support and either accepts it or
     clamps/releases a coordinate).  Every column starts the walk from its
-    last damped point, in the orthant of that point's own signs; the point
-    sums to one, so at least one sign is nonzero.
+    last damped point, in the orthant of that point's own signs.  Every
+    point of the walk sums to one and its nonzeros keep nonzero signs, so no
+    sign pattern is ever empty.
 
     With ``mu == 0`` (or all kink weights zero) there is no kink: the
     bordered least-squares system is solved directly, with ``iterations`` 0
@@ -565,9 +568,6 @@ def _orthant_walk_batch(
             full = ~ok
             if full.any():
                 Si[:, full] = np.sign(Gn[:, full])
-            empty = np.flatnonzero(~Si.any(axis=0))
-            if empty.size:
-                Si[Wt[:, pi[empty]].argmin(axis=0), empty] = 1.0
             G[:, pi] = Gn
             S[:, pi] = Si
 
@@ -806,26 +806,26 @@ def update_anchors(
 ) -> np.ndarray:
     """Exact coordinate descent on the anchors for fixed coefficients.
 
-    Runs the sweeps of :func:`_anchor_cd_sweeps` from ``c_init``; the
-    returned anchors never score worse than ``c_init`` on the batch
-    objective.
+    Runs the sweeps of :func:`_anchor_cd_sweeps` from ``c_init`` until its
+    move test stops them, or for at most 80; the returned anchors never
+    score worse than ``c_init`` on the batch objective.
     """
-    return _update_anchors(X, Gamma, c_init, model)[0]
+    return _update_anchors(X, Gamma, c_init, model, 80)
 
 
 def _update_anchors(
-    X: np.ndarray, Gamma: np.ndarray, c_init: np.ndarray, model: CodingModel
-) -> tuple[np.ndarray, int, bool]:
-    """:func:`update_anchors` plus the sweep count and convergence flag."""
+    X: np.ndarray, Gamma: np.ndarray, c_init: np.ndarray, model: CodingModel, max_sweeps: int
+) -> np.ndarray:
+    """:func:`update_anchors` with a cap of ``max_sweeps`` sweeps."""
     X = np.asarray(X, dtype=np.float64)
     Gamma = np.asarray(Gamma, dtype=np.float64)
     C = np.array(c_init, dtype=np.float64, copy=True)
-    polished, sweeps, converged = _anchor_cd_sweeps(X, Gamma, C, model.mu, model.variant)
+    polished = _anchor_cd_sweeps(X, Gamma, C, model.mu, model.variant, max_sweeps)[0]
     if objective(X, Gamma, replace(model, anchors=polished)) <= objective(
         X, Gamma, replace(model, anchors=C)
     ):
-        return polished, sweeps, converged
-    return C, sweeps, converged
+        return polished
+    return C
 
 
 def train_coding(
@@ -838,12 +838,15 @@ def train_coding(
 ) -> TrainResult:
     """Alternating minimization of anchors and coefficients.
 
-    Anchors start from :func:`kmeans_init`.  Each outer iteration updates the
-    anchors for the current coefficients, then re-solves every coefficient
-    column with :func:`faemb.pipeline.code_batch`; a per-sample safeguard keeps whichever coefficients score better
-    under the new anchors, so the recorded objective trace is non-increasing.
-    Stops after ``params.max_outer_iters`` iterations or when the objective
-    changes by less than 1e-6.
+    Anchors start from :func:`kmeans_init`.  Each outer iteration runs at
+    most three exact coordinate-descent sweeps over the anchors for the
+    current coefficients (kept only if they do not raise the objective),
+    then re-solves every coefficient column with
+    :func:`faemb.pipeline.code_batch`; a per-sample safeguard keeps whichever
+    coefficients score better under the new anchors, so the recorded
+    objective trace is non-increasing.  The one stopping rule: after
+    ``params.max_outer_iters`` iterations, or once an iteration changes the
+    objective by less than 1e-6.
     """
     from .pipeline import code_batch  # pipeline imports this module at load time
 
@@ -865,12 +868,8 @@ def train_coding(
     model = CodingModel(anchors=anchors, mu=mu, variant=variant)
     Gamma = code_batch(X, model)
     trace = [objective(X, Gamma, model)]
-    sweeps: list[int] = []
-    converged: list[bool] = []
     for _ in range(params.max_outer_iters):
-        anchors, n_sweeps, done = _update_anchors(X, Gamma, model.anchors, model)
-        sweeps.append(n_sweeps)
-        converged.append(done)
+        anchors = _update_anchors(X, Gamma, model.anchors, model, _TRAIN_SWEEPS)
         model = replace(model, anchors=anchors)
         fresh = code_batch(X, model)
         worse = per_sample_objective(X, fresh, model) > per_sample_objective(
@@ -882,10 +881,4 @@ def train_coding(
         trace.append(objective(X, Gamma, model))
         if abs(trace[-1] - trace[-2]) < _OUTER_TOL:
             break
-    return TrainResult(
-        model=model,
-        gamma=Gamma,
-        trace=np.asarray(trace),
-        anchor_sweeps=np.asarray(sweeps, dtype=np.int64),
-        anchor_converged=np.asarray(converged, dtype=bool),
-    )
+    return TrainResult(model=model, gamma=Gamma, trace=np.asarray(trace))

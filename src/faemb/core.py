@@ -26,10 +26,6 @@ import numpy as np
 
 __all__ = [
     "tri_length",
-    "tri_dim",
-    "sym_flatten",
-    "sym_unflatten",
-    "residual_tensor",
     "l1_dist_cubed",
     "DescriptorSet",
     "stack_descriptors",
@@ -43,63 +39,10 @@ def tri_length(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def tri_dim(length: int) -> int:
-    """Inverse of :func:`tri_length`: recover ``d`` from a triangle length."""
-    d = int((np.sqrt(8 * length + 1) - 1) / 2 + 0.5)
-    if tri_length(max(d, 1)) != length:
-        raise ValueError(f"{length} is not a valid upper-triangle length")
-    return d
-
-
 @lru_cache(maxsize=64)
 def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(d)
     return rows, cols
-
-
-def sym_flatten(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Flatten a symmetric matrix to its row-major upper triangle.
-
-    The input must be square and symmetric up to a relative deviation of
-    ``rtol`` (measured against the largest magnitude entry); otherwise a
-    ``ValueError`` reporting the maximum deviation is raised.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max() if a.size else 0.0
-    dev = np.abs(a - a.T).max() if a.size else 0.0
-    if dev > rtol * max(scale, 1e-300):
-        raise ValueError(
-            f"matrix is not symmetric: max deviation {dev:.3e} "
-            f"exceeds {rtol:.1e} relative to scale {scale:.3e}"
-        )
-    rows, cols = _triu_indices(a.shape[0])
-    return a[rows, cols].copy()
-
-
-def sym_unflatten(u: np.ndarray) -> np.ndarray:
-    """Rebuild the full symmetric matrix from its flattened upper triangle."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError("expected a 1-D triangle vector")
-    d = tri_dim(u.shape[0])
-    out = np.zeros((d, d))
-    rows, cols = _triu_indices(d)
-    out[rows, cols] = u
-    out[cols, rows] = u
-    return out
-
-
-def residual_tensor(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Flattened upper triangle of the residual outer product ``(x-v)(x-v)^T``."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if x.shape != v.shape or x.ndim != 1:
-        raise ValueError(f"shape mismatch: x {x.shape} vs v {v.shape}")
-    r = x - v
-    rows, cols = _triu_indices(r.shape[0])
-    return r[rows] * r[cols]
 
 
 def l1_dist_cubed(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:

@@ -87,35 +87,12 @@ def embed_faemb(
 ) -> np.ndarray:
     """Embed one descriptor given its coding coefficients.
 
-    Anchor blocks whose coefficient is exactly zero contribute zero blocks;
-    they are skipped rather than computed.
+    Single-descriptor view of :func:`embed_faemb_batch`.
     """
-    cfg = cfg or EmbeddingConfig()
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     _check_pair(x, gamma, model)
-    d, n = model.dim, model.n_anchors
-    tri = tri_length(d)
-    rows, cols = _triu_indices(d)
-    with_s1 = cfg.s1 != 0.0
-    with_s2 = cfg.s2 != 0.0
-    per = tri + (1 if with_s1 else 0) + (d if with_s2 else 0)
-    out = np.zeros(n * per)
-    C = model.anchors
-    for j in range(n):
-        gj = gamma[j]
-        if gj == 0.0:
-            continue
-        pos = j * per
-        r = x - C[:, j]
-        if with_s1:
-            out[pos] = cfg.s1 * gj
-            pos += 1
-        if with_s2:
-            out[pos : pos + d] = (cfg.s2 * gj) * r
-            pos += d
-        out[pos : pos + tri] = gj * (r[rows] * r[cols])
-    return out
+    return embed_faemb_batch(x[:, None], gamma[:, None], model, cfg)[0]
 
 
 def embed_faemb_batch(

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from faemb.core import (
     DescriptorSet,
     l1_dist_cubed,
     l1_dist_cubed_batch,
-    residual_tensor,
     stack_descriptors,
-    sym_flatten,
-    sym_unflatten,
-    tri_dim,
     tri_length,
 )
 
@@ -20,50 +15,6 @@ def test_tri_length_values():
     assert tri_length(2) == 3
     assert tri_length(45) == 1035
     assert tri_length(16) == 136
-
-
-@given(st.integers(min_value=1, max_value=200))
-def test_tri_dim_inverts_tri_length(d):
-    assert tri_dim(tri_length(d)) == d
-
-
-def test_tri_dim_rejects_non_triangular():
-    with pytest.raises(ValueError):
-        tri_dim(4)
-
-
-def test_sym_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(0)
-    for d in (1, 2, 5, 9):
-        A = rng.standard_normal((d, d))
-        A = A + A.T
-        u = sym_flatten(A)
-        assert u.shape == (tri_length(d),)
-        np.testing.assert_allclose(sym_unflatten(u), A, rtol=0, atol=0)
-
-
-def test_sym_flatten_is_row_major_upper_triangle():
-    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-    np.testing.assert_array_equal(sym_flatten(A), [1, 2, 3, 4, 5, 6])
-
-
-def test_sym_flatten_rejects_asymmetric():
-    A = np.array([[1.0, 2.0], [2.5, 1.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        sym_flatten(A)
-
-
-def test_sym_flatten_rejects_non_square():
-    with pytest.raises(ValueError):
-        sym_flatten(np.ones((2, 3)))
-
-
-def test_residual_tensor_matches_outer_product():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(7)
-    v = rng.standard_normal(7)
-    r = x - v
-    np.testing.assert_allclose(residual_tensor(x, v), sym_flatten(np.outer(r, r)))
 
 
 def test_l1_dist_cubed_matches_loops():
