@@ -9,7 +9,6 @@ the ``faemb`` command-line tool.
 from .aggregate import (
     DemocraticResult,
     ImageSignature,
-    RotationNormModel,
     WhiteningModel,
     aggregate_image,
     apply_rn,

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "WhiteningModel",
     "ImageSignature",
-    "RotationNormModel",
     "DemocraticResult",
     "fit_whitening",
     "whiten",
@@ -50,41 +49,29 @@ _POLISH_MAX_STEPS = 25
 
 @dataclass(frozen=True)
 class WhiteningModel:
-    """Centering + decorrelating projection with leading-component removal.
+    """Scaled PCA projection ``x -> (x - mean) @ basis``.
 
-    ``projection`` holds eigenvectors of the training covariance as columns,
-    ordered by descending eigenvalue.  ``eps`` floors the eigenvalues before
-    the inverse square root so rank-deficient training data cannot blow up.
-    ``_basis`` is derived from those: the scaled projection with the
-    ``drop`` leading columns removed, shape ``(dim, out_dim)``.
+    ``basis`` holds covariance eigenvectors of the training data as columns,
+    each divided by the square root of its eigenvalue, shape
+    ``(dim, out_dim)``.  Whitening keeps the trailing columns after dropping
+    the leading ones; rotation normalization keeps the leading columns with a
+    zero mean, so it does not center.
     """
 
     mean: np.ndarray = field(repr=False)
-    projection: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    drop: int
-    eps: float
-    _basis: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
-        P = np.asarray(self.projection, dtype=np.float64)
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        D = mean.shape[0]
-        if mean.ndim != 1 or P.shape != (D, D) or lam.shape != (D,):
-            raise ValueError("inconsistent whitening model shapes")
-        if np.any(np.diff(lam) > 1e-9 * max(1.0, abs(lam[0]))):
-            raise ValueError("eigenvalues must be sorted in descending order")
-        if not (0 <= self.drop < D):
-            raise ValueError(f"drop must satisfy 0 <= drop < {D}, got {self.drop}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        basis = np.asarray(self.basis, dtype=np.float64)
+        if mean.ndim != 1 or basis.ndim != 2 or not (
+            basis.shape[0] == mean.shape[0] >= basis.shape[1] >= 1
+        ):
+            raise ValueError(
+                f"inconsistent whitening model shapes: mean {mean.shape}, basis {basis.shape}"
+            )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "projection", P)
-        object.__setattr__(self, "eigenvalues", lam)
-        keep = slice(self.drop, None)
-        basis = P[:, keep] / np.sqrt(np.maximum(lam[keep], self.eps))
-        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -92,7 +79,7 @@ class WhiteningModel:
 
     @property
     def out_dim(self) -> int:
-        return self.dim - self.drop
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,25 +108,6 @@ class ImageSignature:
 
 
 @dataclass(frozen=True)
-class RotationNormModel:
-    """Whitening-style rotation learned on aggregated signatures.
-
-    Applied without centering; ``keep`` truncates to a short representation.
-    """
-
-    rotation: np.ndarray = field(repr=False)
-    keep: int
-
-    def __post_init__(self) -> None:
-        R = np.asarray(self.rotation, dtype=np.float64)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ValueError(f"rotation must be square, got shape {R.shape}")
-        if not (1 <= self.keep <= R.shape[0]):
-            raise ValueError(f"keep must lie in [1, {R.shape[0]}], got {self.keep}")
-        object.__setattr__(self, "rotation", R)
-
-
-@dataclass(frozen=True)
 class DemocraticResult:
     weights: np.ndarray
     residual: float
@@ -148,20 +116,34 @@ class DemocraticResult:
 
 
 def _pca(
-    X: np.ndarray, keep: int | None = None
+    X: np.ndarray, cols: slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Principal components of row-stacked samples ``X (N, D)``, ``N >= 2``.
 
     Returns the mean, the centered rows, all covariance eigenvalues in
-    descending order (clipped at 0) and the eigenvectors of the leading
-    ``keep`` (default all) of them as columns.
+    descending order (clipped at 0) and the eigenvectors at positions
+    ``cols`` of that order (default all) as columns.
     """
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = (Xc.T @ Xc) / (X.shape[0] - 1)
     lam, P = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]
-    return mean, Xc, np.maximum(lam[order], 0.0), P[:, order[:keep]]
+    return mean, Xc, np.maximum(lam[order], 0.0), P[:, order[cols]]
+
+
+def _scaled_pca(
+    X: np.ndarray, cols: slice, eps: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``X`` and the principal directions ``cols``, each scaled by
+    the inverse square root of its eigenvalue floored at ``eps``.
+    """
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    mean, _, lam, P = _pca(X, cols)
+    if eps is None:
+        eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
+    return mean, P / np.sqrt(np.maximum(lam[cols], eps))
 
 
 def fit_whitening(
@@ -169,7 +151,9 @@ def fit_whitening(
 ) -> WhiteningModel:
     """Fit the whitening model on row-stacked embedded vectors.
 
-    ``eps`` defaults to ``1e-10`` times the largest eigenvalue.
+    The ``drop`` leading principal directions are removed.  ``eps`` floors
+    the eigenvalues before the inverse square root, so rank-deficient
+    training data cannot blow up; it defaults to ``1e-10`` times the largest.
     """
     Phi = np.asarray(Phi_train, dtype=np.float64)
     if Phi.ndim != 2:
@@ -179,10 +163,8 @@ def fit_whitening(
         raise ValueError(f"need at least 2 training vectors, got {N}")
     if not (0 <= drop < D):
         raise ValueError(f"drop must satisfy 0 <= drop < {D}, got {drop}")
-    mean, _, lam, P = _pca(Phi)
-    if eps is None:
-        eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
-    return WhiteningModel(mean=mean, projection=P, eigenvalues=lam, drop=drop, eps=eps)
+    mean, basis = _scaled_pca(Phi, slice(drop, None), eps)
+    return WhiteningModel(mean=mean, basis=basis)
 
 
 def whiten(phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
@@ -201,7 +183,7 @@ def whiten_batch(Phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
     Phi = np.asarray(Phi, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[1] != model.dim:
         raise ValueError(f"expected (*, {model.dim}), got shape {Phi.shape}")
-    return (Phi - model.mean) @ model._basis
+    return (Phi - model.mean) @ model.basis
 
 
 def democratic_weights(Phi_w: np.ndarray) -> DemocraticResult:
@@ -330,8 +312,13 @@ def l2_normalize(psi: np.ndarray, image_id: str = "") -> ImageSignature:
 
 def fit_rotation_norm(
     Psi_train: np.ndarray, keep: int, eps: float | None = None
-) -> RotationNormModel:
-    """Fit the signature-level rotation on row-stacked full-length signatures."""
+) -> WhiteningModel:
+    """Fit the signature-level rotation on row-stacked full-length signatures.
+
+    The model keeps the ``keep`` leading principal directions and has a zero
+    mean: it is applied without centering.  ``eps`` is as in
+    :func:`fit_whitening`.
+    """
     Psi = np.asarray(Psi_train, dtype=np.float64)
     if Psi.ndim != 2:
         raise ValueError(f"training matrix must be 2-D, got shape {Psi.shape}")
@@ -340,21 +327,14 @@ def fit_rotation_norm(
         raise ValueError(f"need at least 2 training signatures, got {N}")
     if not (1 <= keep <= D):
         raise ValueError(f"keep must lie in [1, {D}], got {keep}")
-    _, _, lam, P = _pca(Psi)
-    if eps is None:
-        eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
-    rotation = (P / np.sqrt(np.maximum(lam, eps))).T
-    return RotationNormModel(rotation=rotation, keep=keep)
+    _, basis = _scaled_pca(Psi, slice(keep), eps)
+    return WhiteningModel(mean=np.zeros(D), basis=basis)
 
 
-def apply_rn(psi: ImageSignature, model: RotationNormModel) -> ImageSignature:
-    """Rotate, truncate to ``keep`` components, and re-unit-normalize."""
-    D = model.rotation.shape[0]
-    if psi.dim != D:
-        raise ValueError(f"expected signature length {D}, got {psi.dim}")
-    if psi.degenerate:
-        return ImageSignature(
-            values=np.zeros(model.keep), image_id=psi.image_id, degenerate=True
-        )
-    y = (model.rotation @ psi.values)[: model.keep]
-    return l2_normalize(y, image_id=psi.image_id)
+def apply_rn(psi: ImageSignature, model: WhiteningModel) -> ImageSignature:
+    """Rotate, truncate to the model's ``out_dim`` components, and re-unit-normalize.
+
+    A degenerate signature comes out as a degenerate zero signature.
+    """
+    y = whiten(psi.values, model)
+    return l2_normalize(np.zeros_like(y) if psi.degenerate else y, image_id=psi.image_id)

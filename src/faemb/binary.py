@@ -137,7 +137,7 @@ def fit_itq(
         raise ValueError(f"bits must lie in [1, {D}], got {bits}")
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    mean, Xc, lam, pca = _pca(Psi, keep=bits)
+    mean, Xc, lam, pca = _pca(Psi, slice(bits))
     rank = int((lam > 1e-10 * max(lam[0], np.finfo(np.float64).tiny)).sum())
     if bits > rank:
         raise ValueError(

@@ -30,11 +30,11 @@ from .config import (
     dump_defaults,
     load_config,
 )
-from .core import stack_descriptors, tri_length
+from .core import stack_descriptors
 from .embed import EmbeddingConfig
 from .pipeline import (
     AggregationParams,
-    benchmark_embedding,
+    default_drop,
     embed_descriptor_set,
     parallel_map,
     signature_from_embedded,
@@ -209,7 +209,7 @@ def _load_embedded(path: Path) -> tuple[list[str], list[np.ndarray], int, int]:
 def _cmd_fit_agg(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ids, mats, n, d = _load_embedded(_require(args.input, "embedded-vector"))
-    drop = cfg.drop if cfg.drop is not None else tri_length(d)
+    drop = cfg.drop if cfg.drop is not None else default_drop(d)
     stacked = np.vstack(mats)
     del mats  # else the per-image arrays stay alive beside the stack and its centered copy
     _log(f"fitting whitening on {stacked.shape[0]} vectors of dim {stacked.shape[1]}, drop={drop}")
@@ -252,7 +252,7 @@ def _cmd_fit_rn(args: argparse.Namespace) -> int:
     out = _model_path(cfg, args.out, "rn.famb")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model)
-    print(f"rotation_norm: {out} (keep {model.keep})")
+    print(f"rotation_norm: {out} (keep {model.out_dim})")
     return 0
 
 
@@ -334,32 +334,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for qid, ap in report.per_query.items():
         print(f"AP  {qid}  {ap:.4f}")
     print(f"mAP {report.mean_average_precision:.4f}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _log(
-        f"benchmark: n={cfg.n}, d={args.d}, {args.count} descriptors, mu={cfg.mu}"
-    )
-    result = benchmark_embedding(
-        n=cfg.n,
-        d=args.d,
-        count=args.count,
-        mu=cfg.mu,
-        seed=cfg.seed,
-        faemb_sample=args.faemb_sample,
-    )
-    print(
-        f"per-descriptor embedding time (n={result.n}, d={result.d}, "
-        f"{result.count} descriptors)"
-    )
-    print(
-        f"  faemb  : {result.faemb_us:10.1f} us/descriptor"
-        f"  (timed on {result.faemb_sample})"
-    )
-    print(f"  ffaemb : {result.ffaemb_us:10.1f} us/descriptor")
-    print(f"  ratio  : {result.ratio:.1f}x")
     return 0
 
 
@@ -456,12 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="signature or code file with queries")
     p.add_argument("--gt", help="ground-truth file")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", parents=[common], help="compare per-descriptor embedding time of both coders")
-    p.add_argument("--d", type=int, default=45, help="descriptor dimension")
-    p.add_argument("--count", type=int, default=100_000, help="descriptors to stream")
-    p.add_argument("--faemb-sample", type=int, help="iterative-coder timing subsample size")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

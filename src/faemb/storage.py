@@ -40,7 +40,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .aggregate import ImageSignature, RotationNormModel, WhiteningModel
+from .aggregate import ImageSignature, WhiteningModel
 from .binary import BinaryCode, ItqModel
 from .coding import CodingModel
 from .core import DescriptorSet
@@ -309,8 +309,7 @@ def read_container(path: str | Path) -> dict[str, np.ndarray | str]:
 # ---------------------------------------------------------------------------
 # model round-trips
 
-_MODEL_TYPES = ("coding", "whitening", "rotation_norm", "itq")
-Model = CodingModel | WhiteningModel | RotationNormModel | ItqModel
+Model = CodingModel | WhiteningModel | ItqModel
 
 
 def save_model(path: str | Path, model: Model) -> None:
@@ -326,16 +325,7 @@ def save_model(path: str | Path, model: Model) -> None:
         sections = {
             "model_type": "whitening",
             "mean": model.mean,
-            "projection": model.projection,
-            "eigenvalues": model.eigenvalues,
-            "drop": np.int64(model.drop),
-            "eps": np.float64(model.eps),
-        }
-    elif isinstance(model, RotationNormModel):
-        sections = {
-            "model_type": "rotation_norm",
-            "rotation": model.rotation,
-            "keep": np.int64(model.keep),
+            "basis": model.basis,
         }
     elif isinstance(model, ItqModel):
         sections = {
@@ -368,15 +358,7 @@ def load_model(path: str | Path) -> Model:
     if mtype == "whitening":
         return WhiteningModel(
             mean=_expect(sections, "mean", path),
-            projection=_expect(sections, "projection", path),
-            eigenvalues=_expect(sections, "eigenvalues", path),
-            drop=int(_expect(sections, "drop", path)),
-            eps=float(_expect(sections, "eps", path)),
-        )
-    if mtype == "rotation_norm":
-        return RotationNormModel(
-            rotation=_expect(sections, "rotation", path),
-            keep=int(_expect(sections, "keep", path)),
+            basis=_expect(sections, "basis", path),
         )
     if mtype == "itq":
         return ItqModel(

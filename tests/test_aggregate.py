@@ -4,7 +4,6 @@ import pytest
 from faemb.aggregate import (
     DemocraticResult,
     ImageSignature,
-    RotationNormModel,
     WhiteningModel,
     aggregate_image,
     apply_rn,
@@ -32,7 +31,10 @@ class TestWhitening:
         Phi = Z * np.array([2.0, 1.0]) + np.array([1.0, -2.0])
         model = fit_whitening(Phi)
         np.testing.assert_allclose(model.mean, [1.0, -2.0], atol=1e-9)
-        np.testing.assert_allclose(np.sort(model.eigenvalues), [1.0, 4.0], atol=1e-9)
+        # each basis column is an eigenvector over the square root of its eigenvalue
+        np.testing.assert_allclose(
+            np.sort(1.0 / (model.basis**2).sum(axis=0)), [1.0, 4.0], atol=1e-9
+        )
         W = whiten_batch(Phi, model)
         np.testing.assert_allclose(W.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(W.T @ W / (len(W) - 1), np.eye(2), atol=1e-8)
@@ -61,8 +63,12 @@ class TestWhitening:
         Phi = rng.standard_normal((40, 4))
         model = fit_whitening(Phi, drop=1)
         W = whiten_batch(Phi, model)
-        scale = np.sqrt(np.maximum(model.eigenvalues, model.eps))
-        by_hand = ((Phi - Phi.mean(axis=0)) @ model.projection / scale)[:, 1:]
+        Xc = Phi - Phi.mean(axis=0)
+        lam, P = np.linalg.eigh(Xc.T @ Xc / (len(Phi) - 1))
+        lam, P = lam[::-1], P[:, ::-1]  # descending
+        by_hand = (Xc @ P / np.sqrt(np.maximum(lam, 1e-10 * lam[0])))[:, 1:]
+        # an eigenvector's sign is arbitrary: align each column before comparing
+        by_hand *= np.sign((W * by_hand).sum(axis=0))
         np.testing.assert_allclose(W, by_hand, atol=1e-12)
         for i in range(0, 40, 7):
             np.testing.assert_allclose(whiten(Phi[i], model), W[i], atol=1e-12)
@@ -80,20 +86,12 @@ class TestWhitening:
             fit_whitening(np.ones((1, 3)))
         with pytest.raises(ValueError):
             fit_whitening(np.ones((10, 3)), drop=3)
+        with pytest.raises(ValueError, match="eps"):
+            fit_whitening(np.eye(3), eps=0.0)
         rng = np.random.default_rng(5)
         model = fit_whitening(rng.standard_normal((20, 3)))
         with pytest.raises(ValueError):
             whiten(np.ones(4), model)
-
-    def test_model_rejects_unsorted_eigenvalues(self):
-        with pytest.raises(ValueError, match="descending"):
-            WhiteningModel(
-                mean=np.zeros(2),
-                projection=np.eye(2),
-                eigenvalues=np.array([1.0, 2.0]),
-                drop=0,
-                eps=1e-10,
-            )
 
 
 class TestDemocraticWeights:
@@ -229,20 +227,21 @@ class TestRotationNorm:
 
     def test_no_centering_applied(self):
         # shifting the fit data must not shift the application: the model
-        # carries no mean, so applying to the zero signature stays zero-free
+        # carries a zero mean, so a signature is projected as it is
         Psi, model = self.fit_toy()
+        np.testing.assert_array_equal(model.mean, np.zeros(6))
         sig = ImageSignature(values=Psi[3])
-        manual = model.rotation @ Psi[3]
+        manual = Psi[3] @ model.basis
         got = apply_rn(sig, model)
-        manual_t = manual[: model.keep]
-        np.testing.assert_allclose(got.values, manual_t / np.linalg.norm(manual_t))
+        np.testing.assert_allclose(got.values, manual / np.linalg.norm(manual))
 
     def test_degenerate_passthrough(self):
         _, model = self.fit_toy()
         sig = ImageSignature(values=np.zeros(6), degenerate=True)
         out = apply_rn(sig, model)
         assert out.degenerate
-        assert out.dim == model.keep
+        assert out.dim == model.out_dim == 3
+        np.testing.assert_array_equal(out.values, np.zeros(3))
 
     def test_keep_bounds_validated(self):
         rng = np.random.default_rng(31)
@@ -259,6 +258,10 @@ class TestRotationNorm:
 
     def test_model_shape_validated(self):
         with pytest.raises(ValueError):
-            RotationNormModel(rotation=np.ones((2, 3)), keep=1)
+            WhiteningModel(mean=np.zeros(2), basis=np.ones((3, 2)))
         with pytest.raises(ValueError):
-            RotationNormModel(rotation=np.eye(3), keep=4)
+            WhiteningModel(mean=np.zeros(3), basis=np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            WhiteningModel(mean=np.zeros(3), basis=np.ones((3, 0)))
+        with pytest.raises(ValueError):
+            WhiteningModel(mean=np.zeros(3), basis=np.ones(3))

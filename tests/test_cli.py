@@ -28,12 +28,13 @@ def run(*argv):
 
 
 def assert_one_storage_error(capsys, path):
-    """stderr holds one JSON line: a StorageError naming ``path``."""
+    """stderr holds one JSON line: a StorageError naming ``path``; returns its message."""
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
     payload = json.loads(err_lines[0])
     assert payload["error"] == "StorageError"
     assert str(path) in payload["message"]
+    return payload["message"]
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +425,34 @@ class TestErrorHandling:
         assert rc == 1
         assert_one_storage_error(capsys, empty)
 
+    def test_aggregate_with_old_layout_whitening_file_names_basis(
+        self, workspace, tmp_path, capsys
+    ):
+        old = tmp_path / "whitening.famb"
+        old.write_bytes(
+            container_naive(
+                {
+                    "model_type": "whitening",
+                    "mean": np.zeros(3),
+                    "projection": np.eye(3),
+                    "eigenvalues": np.ones(3),
+                    "drop": np.int64(1),
+                    "eps": np.float64(1e-10),
+                }
+            )
+        )
+        rc = main(
+            [
+                "aggregate",
+                "--in", str(workspace / "clean" / "embedded.famb"),
+                "--whitening", str(old),
+                "--out", str(tmp_path / "signatures.famb"),
+            ]
+        )
+        assert rc == 1
+        assert "'basis'" in assert_one_storage_error(capsys, old)
+        assert not (tmp_path / "signatures.famb").exists()
+
     def test_index_of_empty_entry_file_exits_one_with_json_line(self, tmp_path, capsys):
         files = {
             "sigs.famb": {
@@ -566,20 +595,6 @@ class TestDeterminism:
             "--seed", "0",
         )
         assert out.read_bytes() == (d / "coding.famb").read_bytes()
-
-
-class TestBench:
-    def test_tiny_benchmark_prints_ratio(self, capsys):
-        run(
-            "bench",
-            "--n", "2",
-            "--d", "3",
-            "--count", "30",
-            "--faemb-sample", "5",
-        )
-        out = capsys.readouterr().out
-        assert "ratio" in out
-        assert "us/descriptor" in out
 
 
 def test_version_flag_exits_zero(capsys):
