@@ -191,10 +191,12 @@ def democratic_weights(Phi_w: np.ndarray) -> DemocraticResult:
 
     Solves for ``lam >= 0`` with ``lam_i * (phi_i . sum_j lam_j phi_j) = 1``
     for every descriptor of non-negligible norm, by up to 100 diagonal
-    scaling iterations on the clipped Gram matrix followed by up to 25 damped
-    Newton steps on the unclipped one when scaling alone has not brought the
-    residual to 1e-3.  Descriptors with norm below 1e-10 get weight 0 and are
-    excluded from the condition.
+    scaling iterations on the clipped Gram matrix.  When scaling alone has not
+    brought the residual to 1e-3, up to 25 damped Newton steps on the
+    unclipped matrix follow; their point is kept only if it meets 1e-3, else
+    the best scaling iterate comes back with its residual and
+    ``converged=False``.  Descriptors with norm below 1e-10 get weight 0 and
+    are excluded from the condition.
     """
     Phi = np.asarray(Phi_w, dtype=np.float64)
     if Phi.ndim != 2 or Phi.shape[0] == 0:
@@ -226,12 +228,13 @@ def democratic_weights(Phi_w: np.ndarray) -> DemocraticResult:
             best, best_res = lam.copy(), res
         if res <= _DEM_TOL:
             break
-    lam = best
     if best_res > _DEM_TOL:
-        lam, best_res, extra = _newton_polish(K, lam)
+        polished, polished_res, extra = _newton_polish(K, best)
         it += extra
+        if polished_res <= _DEM_TOL:
+            best, best_res = polished, polished_res
     weights = np.zeros(N)
-    weights[active] = lam
+    weights[active] = best
     return DemocraticResult(
         weights=weights,
         residual=best_res,

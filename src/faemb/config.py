@@ -12,7 +12,7 @@ known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from configparser import ConfigParser, Error as ConfigParserError
 from pathlib import Path
 from typing import Any, Callable
@@ -183,12 +183,23 @@ def dump_defaults() -> str:
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides: Any) -> PipelineConfig:
-    """Replace fields with non-None override values (CLI flags beat the file)."""
-    names = {f.name for f in fields(PipelineConfig)}
+    """Replace fields with non-None override values (CLI flags beat the file).
+
+    Each value gets the domain check its config-file key gets; every
+    violation is reported in one :class:`ConfigError`.
+    """
+    checks = {attr: check for _, _, attr, _, check in _SCHEMA}
+    violations: list[str] = []
     updates = {}
     for name, value in overrides.items():
-        if name not in names:
+        if name not in checks:
             raise ValueError(f"unknown config field {name!r}")
-        if value is not None:
-            updates[name] = value
+        if value is None:
+            continue
+        problem = checks[name](value)
+        if problem is not None:
+            violations.append(f"override {name} = {value!r}: {problem}")
+        updates[name] = value
+    if violations:
+        raise ConfigError(violations)
     return replace(cfg, **updates) if updates else cfg

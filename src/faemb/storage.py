@@ -1,31 +1,28 @@
-"""Persistence: descriptor files, model containers, and ground-truth text.
+"""Persistence: one checksummed container format, plus ground-truth text.
 
-Two binary formats, both little-endian throughout:
-
-Descriptor file (magic ``FAEB``)::
-
-    magic "FAEB" | version u32 (=1) | dim u32 | image_count u64
-    per image: id_len u32 | id utf-8 | count u64 | count*dim float32 row-major
-    trailing CRC32 u32 over everything after the 20-byte header
-
-Model container (magic ``FAMB``)::
+Every binary artifact is a container (magic ``FAMB``), little-endian
+throughout::
 
     magic "FAMB" | major u32 | minor u32 | section_count u32
     table: per section: name_len u32 | name utf-8 | offset u64 | length u64
-    blobs: kind u32 (0=f64, 1=i64, 2=u8, 3=utf8) | ndim u32 | shape u64*ndim
-           | payload | CRC32 u32 over kind..payload
+    blobs: kind u32 (0=f64, 1=i64, 2=u8, 3=utf8, 4=f32) | ndim u32
+           | shape u64*ndim | payload | CRC32 u32 over kind..payload
     (a utf8 blob has ndim 1 and its shape is the byte length; arrays are
     row-major; offsets count from the start of the file)
 
+A descriptor file is a container with the sections ``model_type`` =
+"descriptors", ``ids`` (a JSON list), ``counts`` (i64, one per image) and
+``values`` (f32, every image's descriptor rows stacked in order).
+
 Containers written by an older minor version load fine; an unknown major
 version is refused.  Every loader verifies magic, structure, and checksums
-and raises :class:`StorageError` on any mismatch.
+and raises :class:`StorageError`, naming the file, on any mismatch.
 
 Writers stream each section from its array straight to the open file, with
 a running CRC, so no image of the whole file is built in memory.  The
 container reader checks every size against the file's length before it
 reads, then reads the header, the table and one section at a time.
-Streaming changes no byte of the layouts above.
+Streaming changes no byte of the layout above.
 """
 
 from __future__ import annotations
@@ -69,77 +66,13 @@ __all__ = [
 FORMAT_MAJOR = 1
 FORMAT_MINOR = 0
 
-_DESC_MAGIC = b"FAEB"
-_MODEL_MAGIC = b"FAMB"
-_KIND_F64, _KIND_I64, _KIND_U8, _KIND_UTF8 = 0, 1, 2, 3
-_KIND_DTYPES = {_KIND_F64: "<f8", _KIND_I64: "<i8", _KIND_U8: "u1"}
+_MAGIC = b"FAMB"
+_KIND_UTF8 = 3
+_KIND_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8"), 2: np.dtype("u1"), 4: np.dtype("<f4")}
 
 
 class StorageError(ValueError):
     """A file failed structural validation: magic, version, size, or checksum."""
-
-
-# ---------------------------------------------------------------------------
-# descriptor files
-
-
-def save_descriptors(path: str | Path, sets: list[DescriptorSet]) -> None:
-    if not sets:
-        raise ValueError("refusing to write an empty descriptor file")
-    dim = sets[0].dim
-    for s in sets:
-        if s.dim != dim:
-            raise ValueError(f"mixed descriptor dims: {dim} vs {s.dim} ({s.image_id!r})")
-    crc = 0
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIIQ", _DESC_MAGIC, 1, dim, len(sets)))
-        for s in sets:
-            ident = s.image_id.encode("utf-8")
-            record = struct.pack("<I", len(ident)) + ident + struct.pack("<Q", s.count)
-            values = np.ascontiguousarray(s.descriptors, dtype="<f4")
-            for part in (record, values):
-                f.write(part)
-                crc = zlib.crc32(part, crc)
-        f.write(struct.pack("<I", crc))
-
-
-def _take(buf: memoryview, pos: int, size: int, what: str) -> tuple[memoryview, int]:
-    if pos + size > len(buf):
-        raise StorageError(f"truncated file: expected {size} more bytes for {what}")
-    return buf[pos : pos + size], pos + size
-
-
-def load_descriptors(path: str | Path) -> list[DescriptorSet]:
-    buf = memoryview(Path(path).read_bytes())
-    head, pos = _take(buf, 0, 20, "header")
-    magic, version, dim, count = struct.unpack("<4sIIQ", head)
-    if magic != _DESC_MAGIC:
-        raise StorageError(f"bad magic {magic!r}; not a descriptor file")
-    if version != 1:
-        raise StorageError(f"unsupported descriptor file version {version}")
-    if len(buf) < 24:
-        raise StorageError("truncated file: missing checksum")
-    payload = buf[20:-4]
-    (stored_crc,) = struct.unpack("<I", buf[-4:])
-    if zlib.crc32(payload) != stored_crc:
-        raise StorageError("checksum mismatch; descriptor file is corrupted")
-    if count == 0:
-        raise StorageError(f"{path}: descriptor file holds no images")
-    sets: list[DescriptorSet] = []
-    pos = 0
-    for _ in range(count):
-        raw, pos = _take(payload, pos, 4, "id length")
-        (id_len,) = struct.unpack("<I", raw)
-        raw, pos = _take(payload, pos, id_len, "image id")
-        image_id = str(raw, "utf-8")
-        raw, pos = _take(payload, pos, 8, "descriptor count")
-        (n_desc,) = struct.unpack("<Q", raw)
-        raw, pos = _take(payload, pos, 4 * n_desc * dim, f"descriptors of {image_id!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(n_desc, dim)
-        sets.append(DescriptorSet(image_id=image_id, descriptors=arr))
-    if pos != len(payload):
-        raise StorageError(f"{len(payload) - pos} trailing bytes after last image")
-    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +122,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 
 
 # ---------------------------------------------------------------------------
-# model containers
+# containers
 
 
 def _encode_section(value: np.ndarray | str) -> tuple[bytes, bytes | np.ndarray, int]:
@@ -199,13 +132,8 @@ def _encode_section(value: np.ndarray | str) -> tuple[bytes, bytes | np.ndarray,
         head = struct.pack("<IIQ", _KIND_UTF8, 1, len(payload))
     else:
         arr = np.asarray(value)
-        if arr.dtype == np.float64:
-            kind = _KIND_F64
-        elif arr.dtype == np.int64:
-            kind = _KIND_I64
-        elif arr.dtype == np.uint8:
-            kind = _KIND_U8
-        else:
+        kind = next((k for k, dt in _KIND_DTYPES.items() if arr.dtype == dt), None)
+        if kind is None:
             raise ValueError(f"unsupported array dtype {arr.dtype} for container")
         # a flat byte view of the contiguous array, so len() is its size in bytes
         flat = np.ascontiguousarray(arr, dtype=_KIND_DTYPES[kind]).reshape(-1)
@@ -218,7 +146,7 @@ def _encode_section(value: np.ndarray | str) -> tuple[bytes, bytes | np.ndarray,
 def write_container(
     path: str | Path, sections: dict[str, np.ndarray | str], minor: int = FORMAT_MINOR
 ) -> None:
-    """Write named typed arrays (or utf-8 strings) to a model container.
+    """Write named typed arrays (or utf-8 strings) to a container.
 
     Each section goes from its array straight to the open file.
     """
@@ -236,7 +164,7 @@ def write_container(
         table += struct.pack("<QQ", offset, length)
         offset += length
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", _MODEL_MAGIC, FORMAT_MAJOR, minor, len(encoded)))
+        f.write(struct.pack("<4sIII", _MAGIC, FORMAT_MAJOR, minor, len(encoded)))
         f.write(table)
         for _, head, payload, crc in encoded:
             f.write(head)
@@ -251,15 +179,15 @@ def _decode_section(blob: memoryview, name: str) -> np.ndarray | str:
     if zlib.crc32(body) != struct.unpack("<I", stored)[0]:
         raise StorageError(f"checksum mismatch in section {name!r}")
     kind, ndim = struct.unpack("<II", body[:8])
-    pos = 8
-    shape_raw, pos = _take(body, pos, 8 * ndim, f"shape of {name!r}")
-    shape = struct.unpack(f"<{ndim}Q", shape_raw) if ndim else ()
-    payload = body[pos:]
+    if len(body) < 8 + 8 * ndim:
+        raise StorageError(f"section {name!r}: shape runs past the section's end")
+    shape = struct.unpack(f"<{ndim}Q", body[8 : 8 + 8 * ndim])
+    payload = body[8 + 8 * ndim :]
     if kind == _KIND_UTF8:
         return str(payload, "utf-8")
     if kind not in _KIND_DTYPES:
         raise StorageError(f"section {name!r} has unknown kind tag {kind}")
-    dtype = np.dtype(_KIND_DTYPES[kind])
+    dtype = _KIND_DTYPES[kind]
     if len(payload) != dtype.itemsize * math.prod(shape):
         raise StorageError(f"section {name!r}: payload size does not match shape {shape}")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
@@ -268,7 +196,7 @@ def _decode_section(blob: memoryview, name: str) -> np.ndarray | str:
 def _read(
     f: BinaryIO, pos: int, size: int, file_size: int, what: str
 ) -> tuple[memoryview, int]:
-    """Like :func:`_take` on an open file: the size check comes before any read."""
+    """``size`` bytes of ``f`` at ``pos``; the size check comes before any read."""
     if pos + size <= file_size:
         f.seek(pos)
         raw = f.read(size)
@@ -278,31 +206,38 @@ def _read(
 
 
 def read_container(path: str | Path) -> dict[str, np.ndarray | str]:
-    """Read a model container: the header and table, then one section at a time."""
-    with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        head, pos = _read(f, 0, 16, file_size, "container header")
-        magic, major, minor, n_sections = struct.unpack("<4sIII", head)
-        if magic != _MODEL_MAGIC:
-            raise StorageError(f"bad magic {magic!r}; not a model container")
-        if major != FORMAT_MAJOR:
-            raise StorageError(
-                f"unsupported container major version {major} (supported: {FORMAT_MAJOR})"
-            )
-        table: list[tuple[str, int, int]] = []
-        for _ in range(n_sections):
-            raw, pos = _read(f, pos, 4, file_size, "section name length")
-            (name_len,) = struct.unpack("<I", raw)
-            raw, pos = _read(f, pos, name_len, file_size, "section name")
-            name = str(raw, "utf-8")
-            raw, pos = _read(f, pos, 16, file_size, f"table entry for {name!r}")
-            off, length = struct.unpack("<QQ", raw)
-            table.append((name, off, length))
-        out: dict[str, np.ndarray | str] = {}
-        for name, off, length in table:
-            blob, _ = _read(f, off, length, file_size, f"section {name!r}")
-            out[name] = _decode_section(blob, name)
-            del blob  # release this section's bytes before the next one is read
+    """Read a container: the header and table, then one section at a time.
+
+    Every structural fault is raised here as one :class:`StorageError` that
+    names ``path``.
+    """
+    try:
+        with open(path, "rb") as f:
+            file_size = os.fstat(f.fileno()).st_size
+            head, pos = _read(f, 0, 16, file_size, "container header")
+            magic, major, minor, n_sections = struct.unpack("<4sIII", head)
+            if magic != _MAGIC:
+                raise StorageError(f"bad magic {magic!r}; not a container")
+            if major != FORMAT_MAJOR:
+                raise StorageError(
+                    f"unsupported container major version {major} (supported: {FORMAT_MAJOR})"
+                )
+            table: list[tuple[str, int, int]] = []
+            for _ in range(n_sections):
+                raw, pos = _read(f, pos, 4, file_size, "section name length")
+                (name_len,) = struct.unpack("<I", raw)
+                raw, pos = _read(f, pos, name_len, file_size, "section name")
+                name = str(raw, "utf-8")
+                raw, pos = _read(f, pos, 16, file_size, f"table entry for {name!r}")
+                off, length = struct.unpack("<QQ", raw)
+                table.append((name, off, length))
+            out: dict[str, np.ndarray | str] = {}
+            for name, off, length in table:
+                blob, _ = _read(f, off, length, file_size, f"section {name!r}")
+                out[name] = _decode_section(blob, name)
+                del blob  # release this section's bytes before the next one is read
+    except (StorageError, UnicodeDecodeError) as exc:
+        raise StorageError(f"{path}: {exc}") from None
     return out
 
 
@@ -371,7 +306,50 @@ def load_model(path: str | Path) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# signature / code / index files
+# descriptor / signature / code / index files
+
+
+def save_descriptors(path: str | Path, sets: list[DescriptorSet]) -> None:
+    """Write descriptor sets as one container; values are stored as float32."""
+    if not sets:
+        raise ValueError("refusing to write an empty descriptor file")
+    dim = sets[0].dim
+    for s in sets:
+        if s.dim != dim:
+            raise ValueError(f"mixed descriptor dims: {dim} vs {s.dim} ({s.image_id!r})")
+    write_container(
+        path,
+        {
+            "model_type": "descriptors",
+            "ids": json.dumps([s.image_id for s in sets]),
+            "counts": np.array([s.count for s in sets], dtype=np.int64),
+            "values": np.concatenate([s.descriptors for s in sets], dtype=np.float32),
+        },
+    )
+
+
+def load_descriptors(path: str | Path) -> list[DescriptorSet]:
+    sections = read_container(path)
+    if _expect(sections, "model_type", path) != "descriptors":
+        raise StorageError(f"{path}: not a descriptor file")
+    ids = json.loads(str(_expect(sections, "ids", path)))
+    counts = _expect(sections, "counts", path)
+    values = _expect(sections, "values", path)
+    if not ids:
+        raise StorageError(f"{path}: descriptor file holds no images")
+    if not (
+        isinstance(counts, np.ndarray)
+        and counts.dtype == np.int64
+        and counts.shape == (len(ids),)
+        and isinstance(values, np.ndarray)
+        and values.dtype == np.float32
+        and values.ndim == 2
+        and (counts >= 1).all()
+        and counts.sum() == values.shape[0]
+    ):
+        raise StorageError(f"{path}: counts do not match the ids and the float32 value rows")
+    rows = np.split(values, np.cumsum(counts)[:-1])
+    return [DescriptorSet(image_id=i, descriptors=r) for i, r in zip(ids, rows)]
 
 
 def save_signatures(path: str | Path, signatures: list[ImageSignature]) -> None:

@@ -281,7 +281,12 @@ def container_naive(sections, major=1, minor=0):
 
     A string is kind 3 with one dimension, its utf-8 byte length.
     """
-    kind_and_code = {"float64": (0, "<d"), "int64": (1, "<q"), "uint8": (2, "<B")}
+    kind_and_code = {
+        "float64": (0, "<d"),
+        "int64": (1, "<q"),
+        "uint8": (2, "<B"),
+        "float32": (4, "<f"),
+    }
     blobs = []
     for name, value in sections.items():
         if isinstance(value, str):
@@ -305,17 +310,3 @@ def container_naive(sections, major=1, minor=0):
     for _, blob in blobs:
         out += blob
     return out
-
-
-def descriptor_file_naive(sets):
-    """A descriptor file byte by byte, as the ``faemb.storage`` docstring lays it out."""
-    dim = sets[0].descriptors.shape[1]
-    payload = b""
-    for s in sets:
-        ident = s.image_id.encode("utf-8")
-        payload += struct.pack("<I", len(ident)) + ident
-        payload += struct.pack("<Q", s.descriptors.shape[0])
-        for x in s.descriptors.flat:
-            payload += struct.pack("<f", x)
-    head = struct.pack("<4sIIQ", b"FAEB", 1, dim, len(sets))
-    return head + payload + struct.pack("<I", zlib.crc32(payload))

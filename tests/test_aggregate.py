@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import faemb.aggregate
 from faemb.aggregate import (
     DemocraticResult,
     ImageSignature,
@@ -151,6 +152,22 @@ class TestDemocraticWeights:
         res = democratic_weights(Phi)
         assert not res.converged
         assert res.residual > 1e-3
+
+    def test_failed_polish_returns_the_scaling_iterate(self, monkeypatch):
+        seen = {}
+
+        def missing_polish(K, lam):
+            seen["lam"], seen["K"] = lam.copy(), K
+            return 2.0 * lam, 0.5, 3  # a point that misses the 1e-3 tolerance
+
+        monkeypatch.setattr(faemb.aggregate, "_newton_polish", missing_polish)
+        Phi = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
+        res = democratic_weights(Phi)
+        lam = seen["lam"]
+        np.testing.assert_array_equal(res.weights, lam)
+        assert res.residual == np.abs(lam * (seen["K"] @ lam) - 1.0).max()
+        assert res.residual > 1e-3
+        assert not res.converged
 
     def test_result_fields(self):
         res = democratic_weights(np.eye(2))

@@ -355,8 +355,7 @@ class TestErrorHandling:
         bad.write_bytes(src[: len(src) - 3])
         rc = main(["embed", "--in", str(workspace / "clean" / "corpus.faeb"), "--coding", str(bad)])
         assert rc == 1
-        payload = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert payload["error"] == "StorageError"
+        assert_one_storage_error(capsys, bad)
 
     def test_short_numeric_payload_is_storage_error(self, tmp_path, capsys):
         # a utf8 section relabelled f64 keeps its valid checksum: five payload
@@ -394,7 +393,14 @@ class TestErrorHandling:
     ):
         empty = tmp_path / "empty.faeb"
         empty.write_bytes(
-            struct.pack("<4sIIQ", b"FAEB", 1, 6, 0) + struct.pack("<I", zlib.crc32(b""))
+            container_naive(
+                {
+                    "model_type": "descriptors",
+                    "ids": "[]",
+                    "counts": np.zeros(0, dtype=np.int64),
+                    "values": np.zeros((0, 6), dtype=np.float32),
+                }
+            )
         )
         rc = main(
             [
@@ -406,6 +412,30 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert_one_storage_error(capsys, empty)
+
+    def test_embed_of_old_layout_descriptor_file_exits_one_naming_it(
+        self, workspace, tmp_path, capsys
+    ):
+        # the retired FAEB layout: header, one image of two 6-d rows, CRC32
+        payload = struct.pack("<I", 3) + b"img" + struct.pack("<Q", 2)
+        payload += np.ones((2, 6), dtype="<f4").tobytes()
+        old = tmp_path / "corpus.faeb"
+        old.write_bytes(
+            struct.pack("<4sIIQ", b"FAEB", 1, 6, 1)
+            + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+        rc = main(
+            [
+                "embed",
+                "--in", str(old),
+                "--coding", str(workspace / "clean" / "coding.famb"),
+                "--out", str(tmp_path / "embedded.famb"),
+            ]
+        )
+        assert rc == 1
+        assert "magic" in assert_one_storage_error(capsys, old)
+        assert not (tmp_path / "embedded.famb").exists()
 
     def test_aggregate_of_empty_embedded_file_exits_one_with_json_line(self, tmp_path, capsys):
         empty = tmp_path / "embedded.famb"
@@ -512,6 +542,29 @@ class TestErrorHandling:
         assert payload["error"] == "ValueError"
         assert "--drop" in payload["message"]
         assert not (tmp_path / "whitening.famb").exists()
+
+    def test_aggregate_with_zero_threads_exits_one_with_json_line(
+        self, workspace, tmp_path, capsys
+    ):
+        d = workspace / "clean"
+        rc = main(
+            [
+                "aggregate",
+                "--in", str(d / "embedded.famb"),
+                "--whitening", str(d / "whitening.famb"),
+                "--out", str(tmp_path / "signatures.famb"),
+                "--threads", "0",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "ConfigError"
+        assert "threads = 0" in payload["message"]
+        assert not (tmp_path / "signatures.famb").exists()
 
     def test_drop_minus_one_means_auto(self, capsys):
         run("config", "--drop", "-1")

@@ -113,6 +113,14 @@ class TestOverrides:
         with pytest.raises(ValueError, match="unknown config field"):
             apply_overrides(PipelineConfig(), wibble=3)
 
+    def test_out_of_range_values_all_reported(self):
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides(PipelineConfig(), threads=0, alpha=3.0, n=16)
+        assert exc.value.violations == [
+            "override threads = 0: must be >= 1",
+            "override alpha = 3.0: must lie in (0, 1]",
+        ]
+
 
 def test_dump_defaults_mentions_every_section():
     text = dump_defaults()

@@ -1,10 +1,11 @@
+import json
 import struct
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from oracles import container_naive, descriptor_file_naive
+from oracles import container_naive
 
 from faemb.aggregate import ImageSignature
 from faemb.binary import BinaryCode, fit_itq
@@ -42,6 +43,22 @@ def toy_sets(rng, n_images=3, count=7, dim=4):
     ]
 
 
+def storage_error_naming(path, match, load):
+    """``load(path)`` raises one StorageError matching ``match`` that names ``path``."""
+    with pytest.raises(StorageError, match=match) as exc:
+        load(path)
+    assert str(path) in str(exc.value)
+
+
+def descriptor_sections(sets):
+    return {
+        "model_type": "descriptors",
+        "ids": json.dumps([s.image_id for s in sets]),
+        "counts": np.array([s.count for s in sets], dtype=np.int64),
+        "values": np.concatenate([s.descriptors for s in sets]).astype(np.float32),
+    }
+
+
 class TestDescriptorFiles:
     def test_roundtrip_is_float32_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -64,7 +81,7 @@ class TestDescriptorFiles:
         ]
         path = tmp_path / "corpus.faeb"
         save_descriptors(path, sets)
-        assert path.read_bytes() == descriptor_file_naive(sets)
+        assert path.read_bytes() == container_naive(descriptor_sections(sets))
 
     def test_variable_counts_per_image(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -82,10 +99,9 @@ class TestDescriptorFiles:
         path = tmp_path / "c.faeb"
         save_descriptors(path, toy_sets(rng))
         raw = bytearray(path.read_bytes())
-        raw[30] ^= 0xFF  # flip a payload byte
+        raw[-6] ^= 0xFF  # flip a byte of the last descriptor value
         path.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match="checksum"):
-            load_descriptors(path)
+        storage_error_naming(path, "checksum mismatch in section 'values'", load_descriptors)
 
     def test_truncation_detected(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -93,23 +109,29 @@ class TestDescriptorFiles:
         save_descriptors(path, toy_sets(rng))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(StorageError):
-            load_descriptors(path)
+        storage_error_naming(path, "truncated file", load_descriptors)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "c.faeb"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(StorageError, match="magic"):
-            load_descriptors(path)
+        storage_error_naming(path, "magic", load_descriptors)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "counts",
+        [[7, 7, 6], [7, 7, 8], [7, 7], [7, 0, 14], [7, 14, 0]],
+        ids=["too_few", "too_many", "one_short", "zero", "zero_last"],
+    )
+    def test_counts_that_disagree_with_values_rejected(self, tmp_path, counts):
+        sections = descriptor_sections(toy_sets(np.random.default_rng(17)))
+        sections["counts"] = np.array(counts, dtype=np.int64)
         path = tmp_path / "c.faeb"
-        payload = b""
-        blob = struct.pack("<4sIIQ", b"FAEB", 9, 4, 0)
-        blob += payload + struct.pack("<I", zlib.crc32(payload))
-        path.write_bytes(blob)
-        with pytest.raises(StorageError, match="version"):
-            load_descriptors(path)
+        path.write_bytes(container_naive(sections))
+        storage_error_naming(path, "counts do not match", load_descriptors)
+
+    def test_coding_container_rejected(self, tmp_path):
+        path = tmp_path / "coding.famb"
+        save_model(path, CodingModel(anchors=np.eye(3), mu=0.01, variant="ffaemb"))
+        storage_error_naming(path, "not a descriptor file", load_descriptors)
 
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -218,6 +240,7 @@ class TestContainer:
             {"f64": np.linspace(-1.0, 2.0, 12).reshape(3, 4)},
             {"i64": np.array([[-(2**62), -1], [0, 2**62]], dtype=np.int64)},
             {"u8": np.array([0, 1, 127, 255], dtype=np.uint8)},
+            {"f32": np.array([[-1.5, 0.1], [3e38, -0.0]], dtype=np.float32)},
             {"f64_0d": np.float64(3.25), "i64_0d": np.int64(-7), "u8_0d": np.uint8(9)},
             {
                 "none": np.zeros(0),
@@ -227,7 +250,7 @@ class TestContainer:
             {"transposed": np.arange(12.0).reshape(3, 4).T},
             {f"emb/{i:06d}": np.full((i % 3, 2), float(i)) for i in range(150)},
         ],
-        ids=["str", "f64", "i64", "u8", "0d", "empty", "non_contiguous", "150_sections"],
+        ids=["str", "f64", "i64", "u8", "f32", "0d", "empty", "non_contiguous", "150_sections"],
     )
     def test_bytes_match_reference_encoder(self, tmp_path, sections):
         path = tmp_path / "m.famb"
@@ -241,6 +264,43 @@ class TestContainer:
             else:
                 assert out[name].dtype == value.dtype and out[name].shape == value.shape
                 np.testing.assert_array_equal(out[name], value)
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            ("magic", "bad magic"),
+            ("major", "major version"),
+            ("truncated", "truncated file"),
+            ("checksum", "checksum mismatch"),
+            ("payload_size", "payload size"),
+            ("kind", "unknown kind"),
+        ],
+        ids=["magic", "major", "truncated", "checksum", "payload_size", "kind"],
+    )
+    def test_every_structural_fault_names_the_file(self, tmp_path, fault, match):
+        raw = bytearray(container_naive({"values": np.arange(5.0)}))
+        start = 16 + 4 + len("values") + 16  # the only section's kind u32
+
+        def relabel(kind, extent):
+            raw[start : start + 4] = struct.pack("<I", kind)
+            raw[start + 8 : start + 16] = struct.pack("<Q", extent)
+            raw[-4:] = struct.pack("<I", zlib.crc32(raw[start:-4]))
+
+        if fault == "magic":
+            raw[:4] = b"FAEB"
+        elif fault == "major":
+            raw[4:8] = struct.pack("<I", FORMAT_MAJOR + 1)
+        elif fault == "truncated":
+            del raw[-3:]
+        elif fault == "checksum":
+            raw[-6] ^= 0x01
+        elif fault == "payload_size":
+            relabel(0, 6)  # six float64 values in five values' bytes
+        else:
+            relabel(9, 5)
+        path = tmp_path / "m.famb"
+        path.write_bytes(bytes(raw))
+        storage_error_naming(path, match, read_container)
 
     def test_truncated_last_section_refused(self, tmp_path):
         path = tmp_path / "m.famb"
@@ -294,7 +354,7 @@ class TestContainer:
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):
-            write_container(tmp_path / "m.famb", {"x": np.ones(2, dtype=np.float32)})
+            write_container(tmp_path / "m.famb", {"x": np.ones(2, dtype=np.float16)})
 
     def test_empty_container_rejected(self, tmp_path):
         with pytest.raises(ValueError):
