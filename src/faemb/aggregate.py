@@ -41,10 +41,14 @@ __all__ = [
 _ZERO_NORM = 1e-10  # descriptors below this norm are excluded from weighting
 
 # Fixed settings of democratic weighting: the residual it must meet, the cap
-# on diagonal-scaling iterations and the cap on Newton polish steps.
+# on diagonal-scaling iterations, the cap on Newton polish steps, and the
+# stall rule: the polish stops after this many consecutive accepted steps
+# that each keep the residual above this fraction of its previous value.
 _DEM_TOL = 1e-3
 _DEM_MAX_ITERS = 100
 _POLISH_MAX_STEPS = 25
+_POLISH_STALL_STEPS = 2
+_POLISH_STALL_RATIO = 0.99
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,11 @@ def democratic_weights(Phi_w: np.ndarray) -> DemocraticResult:
     for every descriptor of non-negligible norm, by up to 100 diagonal
     scaling iterations on the clipped Gram matrix.  When scaling alone has not
     brought the residual to 1e-3, up to 25 damped Newton steps on the
-    unclipped matrix follow; their point is kept only if it meets 1e-3, else
-    the best scaling iterate comes back with its residual and
+    unclipped matrix follow.  The polish stops early once it has stalled:
+    after two consecutive accepted steps that each leave the residual above
+    99% of its previous value, or after a line search of 30 halvings finds
+    no lower residual.  Its point is kept only if it meets 1e-3, else the
+    best scaling iterate comes back with its residual and
     ``converged=False``.  Descriptors with norm below 1e-10 get weight 0 and
     are excluded from the condition.
     """
@@ -249,7 +256,7 @@ def _newton_polish(K: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float, i
         return float(np.abs(v * (K @ v) - 1.0).max())
 
     cur = res(lam)
-    steps = 0
+    steps = stalled = 0
     for steps in range(1, _POLISH_MAX_STEPS + 1):
         if cur <= 0.1 * _DEM_TOL:
             break
@@ -266,10 +273,11 @@ def _newton_polish(K: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float, i
             if (trial > 0).all():
                 t = res(trial)
                 if t < cur:
+                    stalled = stalled + 1 if t > _POLISH_STALL_RATIO * cur else 0
                     lam, cur, accepted = trial, t, True
                     break
             alpha *= 0.5
-        if not accepted:
+        if not accepted or stalled == _POLISH_STALL_STEPS:
             break
     return lam, cur, steps
 

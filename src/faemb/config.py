@@ -12,6 +12,7 @@ known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from configparser import ConfigParser, Error as ConfigParserError
 from pathlib import Path
@@ -65,7 +66,7 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     v = float(raw)
-    if v != v or v in (float("inf"), float("-inf")):
+    if not math.isfinite(v):
         raise ValueError("not finite")
     return v
 
@@ -185,18 +186,23 @@ def dump_defaults() -> str:
 def apply_overrides(cfg: PipelineConfig, **overrides: Any) -> PipelineConfig:
     """Replace fields with non-None override values (CLI flags beat the file).
 
-    Each value gets the domain check its config-file key gets; every
-    violation is reported in one :class:`ConfigError`.
+    Each value gets the checks its config-file key gets: a float must be
+    finite, as the file's parser demands, and must pass the domain check.
+    Every violation is reported in one :class:`ConfigError`.
     """
-    checks = {attr: check for _, _, attr, _, check in _SCHEMA}
+    schema = {attr: (parse, check) for _, _, attr, parse, check in _SCHEMA}
     violations: list[str] = []
     updates = {}
     for name, value in overrides.items():
-        if name not in checks:
+        if name not in schema:
             raise ValueError(f"unknown config field {name!r}")
         if value is None:
             continue
-        problem = checks[name](value)
+        parse, check = schema[name]
+        if parse is _parse_float and not math.isfinite(value):
+            problem = "not finite"
+        else:
+            problem = check(value)
         if problem is not None:
             violations.append(f"override {name} = {value!r}: {problem}")
         updates[name] = value

@@ -121,8 +121,25 @@ def embed_faemb_batch(
     with_s1 = cfg.s1 != 0.0
     with_s2 = cfg.s2 != 0.0
     per = tri + (1 if with_s1 else 0) + (d if with_s2 else 0)
-    out = np.empty((m, n * per))
     C = model.anchors
+    if m == 1:
+        # one descriptor: every anchor at once, residuals as (n, d) rows,
+        # with the same element-wise products as the loop below
+        R = X[:, 0] - C.T
+        g = Gamma[:, 0]
+        out = np.empty((n, per))
+        pos = 0
+        if with_s1:
+            out[:, 0] = cfg.s1 * g
+            pos = 1
+        if with_s2:
+            out[:, pos : pos + d] = (cfg.s2 * g)[:, None] * R
+            pos += d
+        sec = out[:, pos:]
+        np.multiply(R[:, rows], R[:, cols], out=sec)
+        sec *= g[:, None]
+        return out.reshape(1, n * per)
+    out = np.empty((m, n * per))
     for j in range(n):
         pos = j * per
         R = X - C[:, j : j + 1]  # (d, m)

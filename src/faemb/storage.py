@@ -33,7 +33,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -275,32 +275,37 @@ def save_model(path: str | Path, model: Model) -> None:
     write_container(path, sections)
 
 
-def _expect(sections: dict, name: str, path) -> np.ndarray | str:
+def _expect(sections: dict, name: str, path, kind: type[np.ndarray] | type[str]) -> Any:
+    """Section ``name``, which must exist and be an array or a string (``kind``)."""
     if name not in sections:
         raise StorageError(f"{path}: missing section {name!r}")
-    return sections[name]
+    value = sections[name]
+    if not isinstance(value, kind):
+        want = "a string" if kind is str else "an array"
+        raise StorageError(f"{path}: section {name!r} is not {want}")
+    return value
 
 
 def load_model(path: str | Path) -> Model:
     sections = read_container(path)
-    mtype = _expect(sections, "model_type", path)
+    mtype = _expect(sections, "model_type", path, str)
     if mtype == "coding":
         return CodingModel(
-            anchors=_expect(sections, "anchors", path),
-            mu=float(_expect(sections, "mu", path)),
-            variant=str(_expect(sections, "variant", path)),
+            anchors=_expect(sections, "anchors", path, np.ndarray),
+            mu=float(_expect(sections, "mu", path, np.ndarray)),
+            variant=_expect(sections, "variant", path, str),
         )
     if mtype == "whitening":
         return WhiteningModel(
-            mean=_expect(sections, "mean", path),
-            basis=_expect(sections, "basis", path),
+            mean=_expect(sections, "mean", path, np.ndarray),
+            basis=_expect(sections, "basis", path, np.ndarray),
         )
     if mtype == "itq":
         return ItqModel(
-            mean=_expect(sections, "mean", path),
-            pca=_expect(sections, "pca", path),
-            rotation=_expect(sections, "rotation", path),
-            bits=int(_expect(sections, "bits", path)),
+            mean=_expect(sections, "mean", path, np.ndarray),
+            pca=_expect(sections, "pca", path, np.ndarray),
+            rotation=_expect(sections, "rotation", path, np.ndarray),
+            bits=int(_expect(sections, "bits", path, np.ndarray)),
         )
     raise StorageError(f"{path}: unknown model_type {mtype!r}")
 
@@ -330,18 +335,16 @@ def save_descriptors(path: str | Path, sets: list[DescriptorSet]) -> None:
 
 def load_descriptors(path: str | Path) -> list[DescriptorSet]:
     sections = read_container(path)
-    if _expect(sections, "model_type", path) != "descriptors":
+    if _expect(sections, "model_type", path, str) != "descriptors":
         raise StorageError(f"{path}: not a descriptor file")
-    ids = json.loads(str(_expect(sections, "ids", path)))
-    counts = _expect(sections, "counts", path)
-    values = _expect(sections, "values", path)
+    ids = json.loads(_expect(sections, "ids", path, str))
+    counts = _expect(sections, "counts", path, np.ndarray)
+    values = _expect(sections, "values", path, np.ndarray)
     if not ids:
         raise StorageError(f"{path}: descriptor file holds no images")
     if not (
-        isinstance(counts, np.ndarray)
-        and counts.dtype == np.int64
+        counts.dtype == np.int64
         and counts.shape == (len(ids),)
-        and isinstance(values, np.ndarray)
         and values.dtype == np.float32
         and values.ndim == 2
         and (counts >= 1).all()
@@ -375,11 +378,11 @@ def load_signatures(path: str | Path) -> list[ImageSignature]:
 
 
 def _signatures_from_sections(sections: dict, path) -> list[ImageSignature]:
-    if _expect(sections, "model_type", path) != "signatures":
+    if _expect(sections, "model_type", path, str) != "signatures":
         raise StorageError(f"{path}: not a signature file")
-    ids = json.loads(str(_expect(sections, "ids", path)))
-    values = _expect(sections, "values", path)
-    degenerate = _expect(sections, "degenerate", path)
+    ids = json.loads(_expect(sections, "ids", path, str))
+    values = _expect(sections, "values", path, np.ndarray)
+    degenerate = _expect(sections, "degenerate", path, np.ndarray)
     if len(ids) != values.shape[0]:
         raise StorageError(f"{path}: id count does not match value rows")
     if not ids:
@@ -413,11 +416,11 @@ def load_codes(path: str | Path) -> list[BinaryCode]:
 
 
 def _codes_from_sections(sections: dict, path) -> list[BinaryCode]:
-    if _expect(sections, "model_type", path) != "codes":
+    if _expect(sections, "model_type", path, str) != "codes":
         raise StorageError(f"{path}: not a code file")
-    ids = json.loads(str(_expect(sections, "ids", path)))
-    packed = _expect(sections, "packed", path)
-    bits = int(_expect(sections, "n_bits", path))
+    ids = json.loads(_expect(sections, "ids", path, str))
+    packed = _expect(sections, "packed", path, np.ndarray)
+    bits = int(_expect(sections, "n_bits", path, np.ndarray))
     if len(ids) != packed.shape[0]:
         raise StorageError(f"{path}: id count does not match code rows")
     if not ids:
@@ -443,11 +446,11 @@ def save_index(path: str | Path, index: RetrievalIndex) -> None:
 
 def load_index(path: str | Path) -> RetrievalIndex:
     sections = read_container(path)
-    if _expect(sections, "model_type", path) != "index":
+    if _expect(sections, "model_type", path, str) != "index":
         raise StorageError(f"{path}: not an index file")
     return RetrievalIndex(
-        ids=tuple(json.loads(str(_expect(sections, "ids", path)))),
-        vectors=_expect(sections, "vectors", path),
-        mode=str(_expect(sections, "mode", path)),
-        width=int(_expect(sections, "width", path)),
+        ids=tuple(json.loads(_expect(sections, "ids", path, str))),
+        vectors=_expect(sections, "vectors", path, np.ndarray),
+        mode=_expect(sections, "mode", path, str),
+        width=int(_expect(sections, "width", path, np.ndarray)),
     )

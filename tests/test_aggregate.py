@@ -169,6 +169,36 @@ class TestDemocraticWeights:
         assert res.residual > 1e-3
         assert not res.converged
 
+    def test_stalled_polish_stops_after_two_steps(self, monkeypatch):
+        # more Gaussian rows than dimensions: the polish's accepted steps barely
+        # lower the residual (without the stall rule it ran 16 steps here)
+        Phi = np.random.default_rng(12).standard_normal((40, 24))
+        res = democratic_weights(Phi)
+        assert not res.converged
+        assert res.iterations <= 100 + 2
+        monkeypatch.setattr(
+            faemb.aggregate, "_newton_polish", lambda K, lam: (2.0 * lam, 0.5, 0)
+        )
+        np.testing.assert_array_equal(democratic_weights(Phi).weights, res.weights)
+
+    def test_near_orthogonal_sweep_keeps_converging(self):
+        # criterion 8's near-orthogonal regime over many sizes, widths and
+        # noise levels; every instance that converges needs the polish.  152
+        # of 200 converged before the polish had a stall rule.
+        rng = np.random.default_rng(818)
+        converged = 0
+        for _ in range(200):
+            count = int(rng.integers(5, 61))
+            base = rng.standard_normal((count, count + int(rng.integers(2, 41))))
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+            Phi = base + rng.uniform(0.05, 0.5) * rng.standard_normal(base.shape)
+            res = democratic_weights(Phi)
+            if res.converged:
+                converged += 1
+                psi = aggregate_image(Phi, res.weights)
+                assert np.abs(res.weights * (Phi @ psi) - 1.0).max() <= 1e-3
+        assert converged == 152
+
     def test_result_fields(self):
         res = democratic_weights(np.eye(2))
         assert isinstance(res, DemocraticResult)

@@ -372,6 +372,36 @@ class TestErrorHandling:
         assert payload["error"] == "StorageError"
         assert "'values'" in payload["message"]
 
+    def test_non_finite_float_flag_exits_one_with_json_line(self, capsys):
+        rc = main(["config", "--mu", "inf", "--alpha", "nan"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "ConfigError"
+        assert "mu = inf: not finite" in payload["message"]
+        assert "alpha = nan: not finite" in payload["message"]
+
+    def test_section_of_the_wrong_kind_is_storage_error(self, tmp_path, capsys):
+        # a checksummed container whose signature values are a utf-8 string
+        bad = tmp_path / "sigs.famb"
+        bad.write_bytes(
+            container_naive(
+                {
+                    "model_type": "signatures",
+                    "ids": '["a"]',
+                    "values": "1.0 0.0",
+                    "degenerate": np.zeros(1, dtype=np.uint8),
+                }
+            )
+        )
+        rc = main(["index", "--in", str(bad), "--out", str(tmp_path / "index.famb")])
+        assert rc == 1
+        assert "'values' is not an array" in assert_one_storage_error(capsys, bad)
+        assert not (tmp_path / "index.famb").exists()
+
     def test_stale_newton_config_key_exits_one_with_json_line(self, tmp_path, capsys):
         # solver settings that became fixed constants are stale keys
         cfg = tmp_path / "old.cfg"

@@ -121,6 +121,16 @@ class TestOverrides:
             "override alpha = 3.0: must lie in (0, 1]",
         ]
 
+    def test_non_finite_floats_all_reported(self):
+        # a config file cannot hold these either: its float parser refuses them
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides(PipelineConfig(), mu=float("inf"), alpha=float("nan"), s1=float("-inf"))
+        assert exc.value.violations == [
+            "override mu = inf: not finite",
+            "override alpha = nan: not finite",
+            "override s1 = -inf: not finite",
+        ]
+
 
 def test_dump_defaults_mentions_every_section():
     text = dump_defaults()

@@ -93,16 +93,18 @@ class TestEmbedFaemb:
         X = rng.standard_normal((d, m))
         model = CodingModel(anchors=C, mu=1e-2, variant="ffaemb")
         Gamma = ffaemb_gamma_batch(X, model)
-        cfg = EmbeddingConfig(s1=0.2, s2=0.4)
-        batch = embed_faemb_batch(X, Gamma, model, cfg)
-        assert batch.shape == (m, embedding_length(n, d, cfg))
-        for i in range(m):
-            np.testing.assert_allclose(
-                batch[i], embed_naive(X[:, i], Gamma[:, i], C, 0.2, 0.4), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                batch[i], embed_faemb(X[:, i], Gamma[:, i], model, cfg), atol=1e-12
-            )
+        for s1, s2 in ((0.0, 0.0), (0.2, 0.4)):
+            cfg = EmbeddingConfig(s1=s1, s2=s2)
+            batch = embed_faemb_batch(X, Gamma, model, cfg)
+            assert batch.shape == (m, embedding_length(n, d, cfg))
+            for i in range(m):
+                np.testing.assert_allclose(
+                    batch[i], embed_naive(X[:, i], Gamma[:, i], C, s1, s2), atol=1e-12
+                )
+                # the single-descriptor branch does the same element-wise products
+                np.testing.assert_array_equal(
+                    batch[i], embed_faemb(X[:, i], Gamma[:, i], model, cfg)
+                )
 
 
 class TestEmbeddingLength:
