@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .aggregate import apply_rn, fit_rotation_norm, fit_whitening
 from .binary import encode_itq, fit_itq
-from .coding import SolverParams, train_coding
+from .coding import CodingModel, SolverParams, train_coding
 from .config import (
     ConfigError,
     PipelineConfig,
@@ -31,11 +31,12 @@ from .config import (
     load_config,
 )
 from .core import stack_descriptors
-from .embed import EmbeddingConfig
+from .embed import EmbeddingConfig, embed_faemb_batch, embedding_length
 from .pipeline import (
     AggregationParams,
+    code_batch,
     default_drop,
-    embed_descriptor_set,
+    embed_descriptor_set,  # not called here; perfbench's traced run wraps it by name
     parallel_map,
     signature_from_embedded,
 )
@@ -49,6 +50,8 @@ from .retrieval import (
 from .storage import (
     StorageError,
     _codes_from_sections,
+    _expect,
+    _expect_scalar,
     _signatures_from_sections,
     load_codes,  # not called here; perfbench's traced run wraps it by name
     load_descriptors,
@@ -177,41 +180,81 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     sets = load_descriptors(_require(args.input or cfg.corpus_path, "descriptor"))
     ecfg = EmbeddingConfig(s1=cfg.s1, s2=cfg.s2)
     _log(f"embedding {len(sets)} images ({model.variant}, threads={cfg.threads})")
-    mats = parallel_map(lambda s: embed_descriptor_set(s, model, ecfg), sets, cfg.threads)
-    sections: dict[str, np.ndarray | str] = {
-        "model_type": "embedded",
-        "ids": json.dumps([s.image_id for s in sets]),
-        "n": np.int64(model.n_anchors),
-        "d": np.int64(model.dim),
-    }
-    for i, mat in enumerate(mats):
-        sections[f"emb/{i:06d}"] = mat
+    gammas = parallel_map(lambda s: code_batch(s.descriptors.T, model), sets, cfg.threads)
     out = _model_path(cfg, args.out, "embedded.famb")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_container(out, sections)
-    print(f"embedded: {out} ({len(sets)} images, dim {mats[0].shape[1]})")
+    write_container(
+        out,
+        {
+            "model_type": "embedded",
+            "ids": json.dumps([s.image_id for s in sets]),
+            "counts": np.array([s.count for s in sets], dtype=np.int64),
+            "values": np.concatenate([s.descriptors for s in sets], dtype=np.float32),
+            "gamma": np.concatenate(gammas, axis=1),
+            "anchors": model.anchors,
+            "mu": np.float64(model.mu),
+            "variant": model.variant,
+            "s1": np.float64(ecfg.s1),
+            "s2": np.float64(ecfg.s2),
+        },
+    )
+    dim = embedding_length(model.n_anchors, model.dim, ecfg)
+    print(f"embedded: {out} ({len(sets)} images, dim {dim})")
     return 0
 
 
-def _load_embedded(path: Path) -> tuple[list[str], list[np.ndarray], int, int]:
+_EmbeddedImage = tuple[str, np.ndarray, np.ndarray]  # image id, descriptor columns, coefficients
+
+
+def _load_embedded(path: Path) -> tuple[list[_EmbeddedImage], CodingModel, EmbeddingConfig]:
+    """Each image's descriptors and coefficients, and what embeds them.
+
+    The embedded vectors themselves are not stored; ``embed_faemb_batch``
+    rebuilds an image's rows from its entry.
+    """
     sections = read_container(path)
-    if sections.get("model_type") != "embedded":
+    if _expect(sections, "model_type", path, str) != "embedded":
         raise StorageError(f"{path}: not an embedded-vector file")
-    ids = json.loads(str(sections["ids"]))
+    ids = json.loads(_expect(sections, "ids", path, str))
+    counts = _expect(sections, "counts", path, np.ndarray)
+    values = _expect(sections, "values", path, np.ndarray)
+    gamma = _expect(sections, "gamma", path, np.ndarray)
+    anchors = _expect(sections, "anchors", path, np.ndarray)
+    mu = _expect_scalar(sections, "mu", path)
+    variant = _expect(sections, "variant", path, str)
+    s1 = _expect_scalar(sections, "s1", path)
+    s2 = _expect_scalar(sections, "s2", path)
     if not ids:
         raise StorageError(f"{path}: embedded-vector file holds no images")
-    n = int(sections["n"])
-    d = int(sections["d"])
-    mats = [sections[f"emb/{i:06d}"] for i in range(len(ids))]
-    return ids, mats, n, d
+    if not (counts.dtype == np.int64 and counts.shape == (len(ids),) and (counts >= 1).all()):
+        raise StorageError(f"{path}: section 'counts' must hold one int64 count >= 1 per id")
+    if not (values.dtype == np.float32 and values.ndim == 2 and values.shape[0] == counts.sum()):
+        raise StorageError(f"{path}: section 'values' must be 2-D float32 with sum(counts) rows")
+    if not (anchors.ndim == 2 and anchors.shape[0] == values.shape[1]):
+        raise StorageError(f"{path}: section 'anchors' must have a row per column of 'values'")
+    if not (gamma.dtype == np.float64 and gamma.shape == (anchors.shape[1], values.shape[0])):
+        raise StorageError(f"{path}: section 'gamma' must be float64 of shape (anchors, value rows)")
+    model = CodingModel(anchors=anchors, mu=float(mu), variant=variant)
+    ecfg = EmbeddingConfig(s1=float(s1), s2=float(s2))
+    starts = np.cumsum(counts)[:-1]
+    columns = np.split(values.astype(np.float64).T, starts, axis=1)
+    return list(zip(ids, columns, np.split(gamma, starts, axis=1))), model, ecfg
 
 
 def _cmd_fit_agg(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    ids, mats, n, d = _load_embedded(_require(args.input, "embedded-vector"))
-    drop = cfg.drop if cfg.drop is not None else default_drop(d)
-    stacked = np.vstack(mats)
-    del mats  # else the per-image arrays stay alive beside the stack and its centered copy
+    images, coding, ecfg = _load_embedded(_require(args.input, "embedded-vector"))
+    drop = cfg.drop if cfg.drop is not None else default_drop(coding.dim)
+    ends = np.cumsum([X.shape[1] for _, X, _ in images])
+    stacked = np.empty((int(ends[-1]), embedding_length(coding.n_anchors, coding.dim, ecfg)))
+
+    def embed_into_stack(k: int) -> None:
+        _, X, G = images[k]
+        stacked[ends[k] - X.shape[1] : ends[k]] = embed_faemb_batch(X, G, coding, ecfg)
+
+    parallel_map(embed_into_stack, range(len(images)), cfg.threads)
+    # else the file's arrays stay alive beside the stack and its centered copy
+    del images, embed_into_stack
     _log(f"fitting whitening on {stacked.shape[0]} vectors of dim {stacked.shape[1]}, drop={drop}")
     model = fit_whitening(stacked, drop=drop)
     out = _model_path(cfg, args.out, "whitening.famb")
@@ -223,16 +266,18 @@ def _cmd_fit_agg(args: argparse.Namespace) -> int:
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    ids, mats, _, _ = _load_embedded(_require(args.input, "embedded-vector"))
+    images, coding, ecfg = _load_embedded(_require(args.input, "embedded-vector"))
     whitening = load_model(_require(args.whitening or str(_model_path(cfg, None, "whitening.famb")), "whitening model"))
     agg = AggregationParams(mode=cfg.mode, alpha=cfg.alpha)
     rn = load_model(_require(args.rn, "rotation model")) if args.rn else None
-    _log(f"aggregating {len(ids)} images (mode={cfg.mode}, alpha={cfg.alpha})")
-    sigs = parallel_map(
-        lambda pair: signature_from_embedded(pair[1], whitening, agg, image_id=pair[0]),
-        list(zip(ids, mats)),
-        cfg.threads,
-    )
+    _log(f"aggregating {len(images)} images (mode={cfg.mode}, alpha={cfg.alpha})")
+
+    def signature(image: _EmbeddedImage):
+        image_id, X, G = image
+        embedded = embed_faemb_batch(X, G, coding, ecfg)
+        return signature_from_embedded(embedded, whitening, agg, image_id=image_id)
+
+    sigs = parallel_map(signature, images, cfg.threads)
     if rn is not None:
         sigs = [apply_rn(s, rn) for s in sigs]
     out = _model_path(cfg, args.out, "signatures.famb")

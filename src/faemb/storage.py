@@ -14,6 +14,15 @@ A descriptor file is a container with the sections ``model_type`` =
 "descriptors", ``ids`` (a JSON list), ``counts`` (i64, one per image) and
 ``values`` (f32, every image's descriptor rows stacked in order).
 
+An embedded-vector file (written by ``faemb embed``) holds what the
+embedded vectors are made from, not the vectors: ``model_type`` =
+"embedded", ``ids``, ``counts`` and ``values`` as in a descriptor file,
+``gamma`` (f64, shape ``(n, N)``: column ``i`` holds the coding
+coefficients of value row ``i``), the coding model's ``anchors`` (f64,
+``(d, n)``), ``mu`` and ``variant``, and the scalar scale factors ``s1``
+and ``s2``.  The embedded rows are rebuilt image by image with
+``embed_faemb_batch``.
+
 Containers written by an older minor version load fine; an unknown major
 version is refused.  Every loader verifies magic, structure, and checksums
 and raises :class:`StorageError`, naming the file, on any mismatch.
@@ -286,13 +295,21 @@ def _expect(sections: dict, name: str, path, kind: type[np.ndarray] | type[str])
     return value
 
 
+def _expect_scalar(sections: dict, name: str, path) -> np.ndarray:
+    """Section ``name``, which must be a 0-d array."""
+    value = _expect(sections, name, path, np.ndarray)
+    if value.ndim != 0:
+        raise StorageError(f"{path}: section {name!r} is not a scalar")
+    return value
+
+
 def load_model(path: str | Path) -> Model:
     sections = read_container(path)
     mtype = _expect(sections, "model_type", path, str)
     if mtype == "coding":
         return CodingModel(
             anchors=_expect(sections, "anchors", path, np.ndarray),
-            mu=float(_expect(sections, "mu", path, np.ndarray)),
+            mu=float(_expect_scalar(sections, "mu", path)),
             variant=_expect(sections, "variant", path, str),
         )
     if mtype == "whitening":
@@ -305,7 +322,7 @@ def load_model(path: str | Path) -> Model:
             mean=_expect(sections, "mean", path, np.ndarray),
             pca=_expect(sections, "pca", path, np.ndarray),
             rotation=_expect(sections, "rotation", path, np.ndarray),
-            bits=int(_expect(sections, "bits", path, np.ndarray)),
+            bits=int(_expect_scalar(sections, "bits", path)),
         )
     raise StorageError(f"{path}: unknown model_type {mtype!r}")
 
@@ -383,8 +400,10 @@ def _signatures_from_sections(sections: dict, path) -> list[ImageSignature]:
     ids = json.loads(_expect(sections, "ids", path, str))
     values = _expect(sections, "values", path, np.ndarray)
     degenerate = _expect(sections, "degenerate", path, np.ndarray)
-    if len(ids) != values.shape[0]:
-        raise StorageError(f"{path}: id count does not match value rows")
+    if values.ndim != 2 or values.shape[0] != len(ids):
+        raise StorageError(f"{path}: section 'values' must be 2-D with one row per id")
+    if degenerate.shape != (len(ids),):
+        raise StorageError(f"{path}: section 'degenerate' must hold one entry per id")
     if not ids:
         raise StorageError(f"{path}: signature file holds no entries")
     return [
@@ -420,9 +439,13 @@ def _codes_from_sections(sections: dict, path) -> list[BinaryCode]:
         raise StorageError(f"{path}: not a code file")
     ids = json.loads(_expect(sections, "ids", path, str))
     packed = _expect(sections, "packed", path, np.ndarray)
-    bits = int(_expect(sections, "n_bits", path, np.ndarray))
-    if len(ids) != packed.shape[0]:
-        raise StorageError(f"{path}: id count does not match code rows")
+    bits = int(_expect_scalar(sections, "n_bits", path))
+    if not (packed.dtype == np.uint8 and packed.ndim == 2 and packed.shape[0] == len(ids)):
+        raise StorageError(f"{path}: section 'packed' must be 2-D uint8 with one row per id")
+    if bits < 1 or packed.shape[1] != (bits + 7) // 8:
+        raise StorageError(
+            f"{path}: section 'n_bits' ({bits}) does not match the {packed.shape[1]}-byte rows"
+        )
     if not ids:
         raise StorageError(f"{path}: code file holds no entries")
     return [
@@ -452,5 +475,5 @@ def load_index(path: str | Path) -> RetrievalIndex:
         ids=tuple(json.loads(_expect(sections, "ids", path, str))),
         vectors=_expect(sections, "vectors", path, np.ndarray),
         mode=_expect(sections, "mode", path, str),
-        width=int(_expect(sections, "width", path, np.ndarray)),
+        width=int(_expect_scalar(sections, "width", path)),
     )

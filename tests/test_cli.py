@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -7,10 +9,13 @@ import numpy as np
 import pytest
 
 import faemb.cli
+import faemb.pipeline
 import faemb.storage
 from oracles import container_naive
 from faemb.cli import main
-from faemb.aggregate import ImageSignature
+from faemb.aggregate import ImageSignature, fit_whitening
+from faemb.embed import EmbeddingConfig, embedding_length
+from faemb.pipeline import default_drop, embed_descriptor_set, signature_from_embedded
 from faemb.config import parse_config
 from faemb.storage import (
     load_codes,
@@ -35,6 +40,22 @@ def assert_one_storage_error(capsys, path):
     assert payload["error"] == "StorageError"
     assert str(path) in payload["message"]
     return payload["message"]
+
+
+def embedded_sections():
+    """A well-formed embedded-vector file: two images (2 and 1 rows), d=6, n=4."""
+    return {
+        "model_type": "embedded",
+        "ids": '["a", "b"]',
+        "counts": np.array([2, 1], dtype=np.int64),
+        "values": np.arange(18, dtype=np.float32).reshape(3, 6),
+        "gamma": np.full((4, 3), 0.25),
+        "anchors": np.eye(6, 4),
+        "mu": np.float64(0.01),
+        "variant": "ffaemb",
+        "s1": np.float64(0.0),
+        "s2": np.float64(0.0),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +492,13 @@ class TestErrorHandling:
         empty = tmp_path / "embedded.famb"
         empty.write_bytes(
             container_naive(
-                {"model_type": "embedded", "ids": "[]", "n": np.int64(4), "d": np.int64(6)}
+                {
+                    **embedded_sections(),
+                    "ids": "[]",
+                    "counts": np.zeros(0, dtype=np.int64),
+                    "values": np.zeros((0, 6), dtype=np.float32),
+                    "gamma": np.zeros((4, 0)),
+                }
             )
         )
         rc = main(
@@ -483,7 +510,169 @@ class TestErrorHandling:
             ]
         )
         assert rc == 1
-        assert_one_storage_error(capsys, empty)
+        assert "no images" in assert_one_storage_error(capsys, empty)
+
+    def test_old_layout_embedded_file_names_a_missing_section(self, tmp_path, capsys):
+        # the retired layout: one section of embedded vectors per image
+        old = tmp_path / "embedded.famb"
+        old.write_bytes(
+            container_naive(
+                {
+                    "model_type": "embedded",
+                    "ids": '["a"]',
+                    "n": np.int64(4),
+                    "d": np.int64(6),
+                    "emb/000000": np.ones((2, 84)),
+                }
+            )
+        )
+        for command in ("fit-agg", "aggregate"):
+            rc = main([command, "--in", str(old), "--out", str(tmp_path / "out.famb")])
+            assert rc == 1
+            assert "missing section 'counts'" in assert_one_storage_error(capsys, old)
+        assert not (tmp_path / "out.famb").exists()
+
+    @pytest.mark.parametrize(
+        "section, broken",
+        [
+            ("counts", np.array([2.0, 1.0])),
+            ("counts", np.array([3], dtype=np.int64)),
+            ("counts", np.array([3, 0], dtype=np.int64)),
+            ("values", np.ones((3, 6))),
+            ("values", np.ones(18, dtype=np.float32)),
+            ("values", np.ones((4, 6), dtype=np.float32)),
+            ("anchors", np.eye(5, 4)),
+            ("anchors", np.ones(6)),
+            ("gamma", np.full((4, 3), 0.25, dtype=np.float32)),
+            ("gamma", np.full((3, 3), 1 / 3)),
+            ("gamma", np.full((4, 2), 0.25)),
+            ("mu", np.array([0.01])),
+            ("variant", np.ones(1)),
+            ("s1", np.zeros(1)),
+            ("s2", "0.0"),
+        ],
+    )
+    def test_malformed_embedded_section_is_storage_error(self, tmp_path, capsys, section, broken):
+        bad = tmp_path / "embedded.famb"
+        bad.write_bytes(container_naive({**embedded_sections(), section: broken}))
+        rc = main(["fit-agg", "--in", str(bad), "--out", str(tmp_path / "whitening.famb")])
+        assert rc == 1
+        assert f"'{section}'" in assert_one_storage_error(capsys, bad)
+        assert not (tmp_path / "whitening.famb").exists()
+
+    def test_well_formed_embedded_sections_load(self, tmp_path):
+        path = tmp_path / "embedded.famb"
+        path.write_bytes(container_naive(embedded_sections()))
+        images, model, ecfg = faemb.cli._load_embedded(path)
+        assert [(i, X.shape, G.shape) for i, X, G in images] == [
+            ("a", (6, 2), (4, 2)),
+            ("b", (6, 1), (4, 1)),
+        ]
+        assert (model.variant, model.mu, ecfg.s1, ecfg.s2) == ("ffaemb", 0.01, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "sections, command",
+        [
+            (
+                {"model_type": "coding", "anchors": np.eye(6, 4), "mu": np.array([0.01, 0.02]),
+                 "variant": "ffaemb"},
+                ["embed", "--in", "{d}/corpus.faeb", "--coding", "{bad}", "--out", "{tmp}/out.famb"],
+            ),
+            (
+                {"model_type": "itq", "mean": np.zeros(3), "pca": np.eye(3, 2),
+                 "rotation": np.eye(2), "bits": np.array([2, 2], dtype=np.int64)},
+                ["encode", "--in", "{d}/signatures.famb", "--itq", "{bad}", "--out", "{tmp}/out.famb"],
+            ),
+            (
+                {"model_type": "index", "mode": "real", "ids": '["a"]', "vectors": np.ones((1, 3)),
+                 "width": np.array([3, 3], dtype=np.int64)},
+                ["search", "--index", "{bad}", "--queries", "{d}/signatures.famb"],
+            ),
+        ],
+    )
+    def test_array_in_a_scalar_section_is_storage_error(
+        self, workspace, tmp_path, capsys, sections, command
+    ):
+        bad = tmp_path / "model.famb"
+        bad.write_bytes(container_naive(sections))
+        names = {"d": workspace / "clean", "bad": bad, "tmp": tmp_path}
+        rc = main([arg.format(**names) for arg in command])
+        assert rc == 1
+        assert "is not a scalar" in assert_one_storage_error(capsys, bad)
+        assert not (tmp_path / "out.famb").exists()
+
+    @pytest.mark.parametrize(
+        "name, sections, section",
+        [
+            (
+                "sigs.famb",
+                {
+                    "model_type": "signatures",
+                    "ids": '["a"]',
+                    "values": np.float64(1.0),
+                    "degenerate": np.zeros(1, dtype=np.uint8),
+                },
+                "values",
+            ),
+            (
+                "sigs.famb",
+                {
+                    "model_type": "signatures",
+                    "ids": '["a"]',
+                    "values": np.ones((1, 4)),
+                    "degenerate": np.zeros(2, dtype=np.uint8),
+                },
+                "degenerate",
+            ),
+            (
+                "codes.famb",
+                {
+                    "model_type": "codes",
+                    "ids": '["a"]',
+                    "packed": np.zeros(8, dtype=np.uint8),
+                    "n_bits": np.int64(64),
+                },
+                "packed",
+            ),
+            (
+                "codes.famb",
+                {
+                    "model_type": "codes",
+                    "ids": '["a"]',
+                    "packed": np.zeros((1, 8)),
+                    "n_bits": np.int64(64),
+                },
+                "packed",
+            ),
+            (
+                "codes.famb",
+                {
+                    "model_type": "codes",
+                    "ids": '["a"]',
+                    "packed": np.zeros((1, 8), dtype=np.uint8),
+                    "n_bits": np.array([64], dtype=np.int64),
+                },
+                "n_bits",
+            ),
+            (
+                "codes.famb",
+                {
+                    "model_type": "codes",
+                    "ids": '["a"]',
+                    "packed": np.zeros((1, 8), dtype=np.uint8),
+                    "n_bits": np.int64(32),
+                },
+                "n_bits",
+            ),
+        ],
+    )
+    def test_misshapen_entry_section_is_storage_error(self, tmp_path, capsys, name, sections, section):
+        path = tmp_path / name
+        path.write_bytes(container_naive(sections))
+        rc = main(["index", "--in", str(path), "--out", str(tmp_path / "index.famb")])
+        assert rc == 1
+        assert f"'{section}'" in assert_one_storage_error(capsys, path)
+        assert not (tmp_path / "index.famb").exists()
 
     def test_aggregate_with_old_layout_whitening_file_names_basis(
         self, workspace, tmp_path, capsys
@@ -609,6 +798,68 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestLibraryParity:
+    """The CLI rebuilds embedded vectors from stored coefficients, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "variant, s1, s2", [("ffaemb", 0.0, 0.0), ("faemb", 0.0, 0.0), ("ffaemb", 0.5, 0.25)]
+    )
+    def test_cli_matches_library_path(self, workspace, tmp_path, variant, s1, s2):
+        corpus = workspace / "noisy" / "corpus.faeb"
+        cfg = tmp_path / "embedding.cfg"
+        cfg.write_text(f"[embedding]\ns1 = {s1}\ns2 = {s2}\n")
+        common = ("--config", str(cfg), "--n", "4", "--mu", "0.01", "--seed", "0")
+        run("train-coding", "--train", str(corpus), "--out", str(tmp_path / "coding.famb"),
+            "--variant", variant, *common)
+        run("embed", "--in", str(corpus), "--coding", str(tmp_path / "coding.famb"),
+            "--out", str(tmp_path / "embedded.famb"), *common)
+        run("fit-agg", "--in", str(tmp_path / "embedded.famb"),
+            "--out", str(tmp_path / "whitening.famb"), *common)
+        for threads in ("1", "2"):
+            run("aggregate", "--in", str(tmp_path / "embedded.famb"),
+                "--whitening", str(tmp_path / "whitening.famb"),
+                "--out", str(tmp_path / f"signatures{threads}.famb"), *common, "--threads", threads)
+
+        model = load_model(tmp_path / "coding.famb")
+        assert model.variant == variant
+        sets = load_descriptors(corpus)
+        ecfg = EmbeddingConfig(s1=s1, s2=s2)
+        embedded = [embed_descriptor_set(s, model, ecfg) for s in sets]
+        wm = fit_whitening(np.vstack(embedded), drop=default_drop(model.dim))
+        got_wm = load_model(tmp_path / "whitening.famb")
+        for name in ("mean", "basis"):
+            a, b = getattr(got_wm, name), getattr(wm, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # the CLI whitens with the model as read back from its file: the
+        # values are wm's, but the memory layout (and so the GEMM) is the file's
+        want = [
+            signature_from_embedded(E, got_wm, image_id=s.image_id) for E, s in zip(embedded, sets)
+        ]
+        got = load_signatures(tmp_path / "signatures1.famb")
+        assert [s.image_id for s in got] == [s.image_id for s in want]
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes(), g.image_id
+            assert g.degenerate == w.degenerate
+        one, two = (tmp_path / f"signatures{t}.famb" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()
+        # no section holds the embedded vectors: the file is smaller than they are
+        n_rows = sum(s.count for s in sets)
+        width = embedding_length(model.n_anchors, model.dim, ecfg)
+        assert (tmp_path / "embedded.famb").stat().st_size < n_rows * width * 8
+
+
+def test_cli_keeps_every_name_the_traced_benchmark_wraps(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    modules = {"cli": faemb.cli, "pipeline": faemb.pipeline, "storage": faemb.storage}
+    missing = [f"{mod}.{attr}" for mod, attr in tracing.PATCHES if not hasattr(modules[mod], attr)]
+    assert not missing
 
 
 class TestDeterminism:
