@@ -31,10 +31,12 @@ result = train_coding(stacked[take].T, n=4, mu=1e-2, variant="ffaemb",
 model = result.model
 print(f"trained {model.n_anchors} anchors; objective {result.trace[0]:.4f} -> {result.trace[-1]:.4f}")
 
-# Embed everything, fit the whitening on the embedded rows, truncate.
+# Embed everything, fit the whitening on the embedded rows, truncate.  The
+# fit takes the per-image list as it is and accumulates its covariance block
+# by block, so the rows are never stacked into one matrix.
 embedded = [embed_descriptor_set(s, model) for s in sets]
 drop = default_drop(stacked.shape[1])
-wm = fit_whitening(np.vstack(embedded), drop=drop)
+wm = fit_whitening(embedded, drop=drop)
 print(f"embedded width {embedded[0].shape[1]}, dropping {drop} -> signature length "
       f"{embedded[0].shape[1] - drop}")
 

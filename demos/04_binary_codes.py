@@ -29,7 +29,7 @@ take = rng.choice(stacked.shape[0], size=800, replace=False)
 model = train_coding(stacked[take].T, n=4, mu=1e-2, variant="ffaemb",
                      params=SolverParams(max_outer_iters=4), seed=0).model
 embedded = [embed_descriptor_set(s, model) for s in sets]
-wm = fit_whitening(np.vstack(embedded), drop=default_drop(8))
+wm = fit_whitening(embedded, drop=default_drop(8))
 signatures = [signature_from_embedded(E, wm, image_id=s.image_id)
               for E, s in zip(embedded, sets)]
 S = np.vstack([s.values for s in signatures])

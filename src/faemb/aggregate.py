@@ -18,7 +18,9 @@ immutable afterwards; application is pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -38,7 +40,10 @@ __all__ = [
     "apply_rn",
 ]
 
+_T = TypeVar("_T")
+
 _ZERO_NORM = 1e-10  # descriptors below this norm are excluded from weighting
+_BLOCK_ROWS = 2048  # cap on the rows of a whitening fit's block (see _row_groups)
 
 # Fixed settings of democratic weighting: the residual it must meet, the cap
 # on diagonal-scaling iterations, the cap on Newton polish steps, and the
@@ -57,17 +62,22 @@ class WhiteningModel:
 
     ``basis`` holds covariance eigenvectors of the training data as columns,
     each divided by the square root of its eigenvalue, shape
-    ``(dim, out_dim)``.  Whitening keeps the trailing columns after dropping
-    the leading ones; rotation normalization keeps the leading columns with a
-    zero mean, so it does not center.
+    ``(dim, out_dim)``, stored C-contiguous so that a fitted model and the
+    same model read back from a file round alike.  Whitening keeps the
+    trailing columns after dropping the leading ones; rotation normalization
+    keeps the leading columns with a zero mean, so it does not center.
+    ``floored`` counts the kept directions whose eigenvalue was raised to
+    the ``eps`` floor at fitting time.  Model files store it; it is ``None``
+    when unknown (a model built from bare arrays, or a file without it).
     """
 
     mean: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
+    floored: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
+        basis = np.ascontiguousarray(self.basis, dtype=np.float64)
         if mean.ndim != 1 or basis.ndim != 2 or not (
             basis.shape[0] == mean.shape[0] >= basis.shape[1] >= 1
         ):
@@ -119,56 +129,114 @@ class DemocraticResult:
     converged: bool
 
 
-def _pca(
-    X: np.ndarray, cols: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Principal components of row-stacked samples ``X (N, D)``, ``N >= 2``.
+def _row_groups(items: Iterable[_T], rows: Callable[[_T], int], dim: int) -> Iterator[list[_T]]:
+    """Consecutive ``items`` gathered into groups of ``min(dim, 2048)`` rows or more.
 
-    Returns the mean, the centered rows, all covariance eigenvalues in
-    descending order (clipped at 0) and the eigenvectors at positions
-    ``cols`` of that order (default all) as columns.
+    This is the one rule that cuts training vectors of length ``dim`` into
+    the blocks a whitening fit accumulates: whole images until a block has
+    as many rows as the vectors have dimensions, so a block is about the
+    size of the D x D sums it updates, or 2,048 rows for longer vectors,
+    where the product that updates the sums still runs within about 10% of
+    one unblocked product.  Only the last group may hold fewer rows, so
+    grouping groups that this rule made returns them unchanged.
     """
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / (X.shape[0] - 1)
+    target = min(dim, _BLOCK_ROWS)
+    group, count = [], 0
+    for item in items:
+        group.append(item)
+        count += rows(item)
+        if count >= target:
+            yield group
+            group, count = [], 0
+    if group:
+        yield group
+
+
+def _moments(blocks: np.ndarray | Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of samples given as row blocks, ``N >= 2`` rows.
+
+    ``blocks`` is one ``(N, D)`` matrix (a single block) or an iterable of
+    ``(m, D)`` blocks, read once and in order and grouped by
+    :func:`_row_groups`.  Each group is centered on the first group's mean
+    ``c`` and accumulated as shifted sums (Chan, Golub & LeVeque, 1983),
+    ``S += Bc.T @ Bc`` and ``s += Bc.sum(axis=0)``; then
+    ``cov = (S - outer(s, s) / N) / (N - 1)`` and ``mean = c + s / N``.  No
+    ``(N, D)`` array is formed: besides ``S`` and the product that updates
+    it, memory holds one group and its centered copy.
+    """
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
+    rows = (np.asarray(B, dtype=np.float64) for B in blocks)
+    first = next(rows, None)
+    if first is None or first.ndim != 2:
+        raise ValueError("training vectors must come as 2-D row blocks")
+    D = first.shape[1]
+    N, c, S, s = 0, None, None, None
+    for group in _row_groups(itertools.chain([first], rows), len, D):
+        if any(B.ndim != 2 or B.shape[1] != D for B in group):
+            raise ValueError(f"every row block must be 2-D with {D} columns")
+        B = np.ascontiguousarray(group[0] if len(group) == 1 else np.concatenate(group))
+        if c is None:
+            c = B.mean(axis=0) if len(B) else np.zeros(D)
+            S, s = np.zeros((D, D)), np.zeros(D)
+        Bc = B - c
+        S += Bc.T @ Bc
+        s += Bc.sum(axis=0)
+        N += len(B)
+    if N < 2:
+        raise ValueError(f"need at least 2 training vectors, got {N}")
+    S -= np.outer(s, s) / N
+    S /= N - 1
+    return c + s / N, S
+
+
+def _pca(cov: np.ndarray, cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of ``cov`` in descending order (clipped at 0) and the
+    eigenvectors at positions ``cols`` of that order (default all) as columns.
+    """
     lam, P = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]
-    return mean, Xc, np.maximum(lam[order], 0.0), P[:, order[cols]]
+    return np.maximum(lam[order], 0.0), P[:, order[cols]]
 
 
-def _scaled_pca(
-    X: np.ndarray, cols: slice, eps: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of ``X`` and the principal directions ``cols``, each scaled by
-    the inverse square root of its eigenvalue floored at ``eps``.
+def _scaled_basis(cov: np.ndarray, cols: slice, eps: float | None) -> tuple[np.ndarray, int]:
+    """The principal directions ``cols`` of ``cov``, each scaled by the inverse
+    square root of its eigenvalue floored at ``eps``, and how many of those
+    eigenvalues the floor raised.
     """
     if eps is not None and not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    mean, _, lam, P = _pca(X, cols)
+    lam, P = _pca(cov, cols)
     if eps is None:
         eps = 1e-10 * max(lam[0], np.finfo(np.float64).tiny)
-    return mean, P / np.sqrt(np.maximum(lam[cols], eps))
+    kept = lam[cols]
+    return P / np.sqrt(np.maximum(kept, eps)), int((kept < eps).sum())
 
 
 def fit_whitening(
-    Phi_train: np.ndarray, drop: int = 0, eps: float | None = None
+    Phi_train: np.ndarray | Iterable[np.ndarray], drop: int = 0, eps: float | None = None
 ) -> WhiteningModel:
-    """Fit the whitening model on row-stacked embedded vectors.
+    """Fit the whitening model on embedded vectors.
+
+    ``Phi_train`` is one ``(N, D)`` matrix, or an iterable of ``(m, D)`` row
+    blocks such as one matrix per image.  Blocks are read once, in order,
+    and accumulated group by group (see :func:`_moments`), so memory is
+    O(D^2) plus one group, never N x D.  The groups depend only on the block
+    sizes: a list of per-image matrices gives the ``fit-agg`` subcommand's
+    model bit for bit.
 
     The ``drop`` leading principal directions are removed.  ``eps`` floors
     the eigenvalues before the inverse square root, so rank-deficient
     training data cannot blow up; it defaults to ``1e-10`` times the largest.
+    The model's ``floored`` counts the kept directions it raised.
     """
-    Phi = np.asarray(Phi_train, dtype=np.float64)
-    if Phi.ndim != 2:
-        raise ValueError(f"training matrix must be 2-D, got shape {Phi.shape}")
-    N, D = Phi.shape
-    if N < 2:
-        raise ValueError(f"need at least 2 training vectors, got {N}")
-    if not (0 <= drop < D):
-        raise ValueError(f"drop must satisfy 0 <= drop < {D}, got {drop}")
-    mean, basis = _scaled_pca(Phi, slice(drop, None), eps)
-    return WhiteningModel(mean=mean, basis=basis)
+    if drop < 0:
+        raise ValueError(f"drop must be >= 0, got {drop}")
+    mean, cov = _moments(Phi_train)
+    if drop >= len(mean):
+        raise ValueError(f"drop must satisfy 0 <= drop < {len(mean)}, got {drop}")
+    basis, floored = _scaled_basis(cov, slice(drop, None), eps)
+    return WhiteningModel(mean=mean, basis=basis, floored=floored)
 
 
 def whiten(phi: np.ndarray, model: WhiteningModel) -> np.ndarray:
@@ -338,8 +406,8 @@ def fit_rotation_norm(
         raise ValueError(f"need at least 2 training signatures, got {N}")
     if not (1 <= keep <= D):
         raise ValueError(f"keep must lie in [1, {D}], got {keep}")
-    _, basis = _scaled_pca(Psi, slice(keep), eps)
-    return WhiteningModel(mean=np.zeros(D), basis=basis)
+    basis, floored = _scaled_basis(_moments(Psi)[1], slice(keep), eps)
+    return WhiteningModel(mean=np.zeros(D), basis=basis, floored=floored)
 
 
 def apply_rn(psi: ImageSignature, model: WhiteningModel) -> ImageSignature:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import ImageSignature, _pca
+from .aggregate import ImageSignature, _moments, _pca
 
 __all__ = [
     "ItqModel",
@@ -137,14 +137,15 @@ def fit_itq(
         raise ValueError(f"bits must lie in [1, {D}], got {bits}")
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    mean, Xc, lam, pca = _pca(Psi, slice(bits))
+    mean, cov = _moments(Psi)
+    lam, pca = _pca(cov, slice(bits))
     rank = int((lam > 1e-10 * max(lam[0], np.finfo(np.float64).tiny)).sum())
     if bits > rank:
         raise ValueError(
             f"bits={bits} exceeds the training covariance rank ({rank}); "
             "use more/denser training signatures or fewer bits"
         )
-    V = Xc @ pca
+    V = (Psi - mean) @ pca
     R = _orthogonal_init(bits, seed)
     errors = np.empty(iters)
     for t in range(iters):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import apply_rn, fit_rotation_norm, fit_whitening
+from .aggregate import _row_groups, apply_rn, fit_rotation_norm, fit_whitening
 from .binary import encode_itq, fit_itq
 from .coding import CodingModel, SolverParams, train_coding
 from .config import (
@@ -245,22 +245,28 @@ def _cmd_fit_agg(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     images, coding, ecfg = _load_embedded(_require(args.input, "embedded-vector"))
     drop = cfg.drop if cfg.drop is not None else default_drop(coding.dim)
-    ends = np.cumsum([X.shape[1] for _, X, _ in images])
-    stacked = np.empty((int(ends[-1]), embedding_length(coding.n_anchors, coding.dim, ecfg)))
+    width = embedding_length(coding.n_anchors, coding.dim, ecfg)
 
-    def embed_into_stack(k: int) -> None:
-        _, X, G = images[k]
-        stacked[ends[k] - X.shape[1] : ends[k]] = embed_faemb_batch(X, G, coding, ecfg)
+    def blocks():
+        """Each group of whole images embedded into one block, in file order."""
+        for group in _row_groups(images, lambda image: image[1].shape[1], width):
+            ends = np.cumsum([X.shape[1] for _, X, _ in group])
+            block = np.empty((int(ends[-1]), width))
 
-    parallel_map(embed_into_stack, range(len(images)), cfg.threads)
-    # else the file's arrays stay alive beside the stack and its centered copy
-    del images, embed_into_stack
-    _log(f"fitting whitening on {stacked.shape[0]} vectors of dim {stacked.shape[1]}, drop={drop}")
-    model = fit_whitening(stacked, drop=drop)
+            def embed_into_block(k: int) -> None:
+                _, X, G = group[k]
+                block[ends[k] - X.shape[1] : ends[k]] = embed_faemb_batch(X, G, coding, ecfg)
+
+            parallel_map(embed_into_block, range(len(group)), cfg.threads)
+            yield block
+
+    rows = sum(X.shape[1] for _, X, _ in images)
+    _log(f"fitting whitening on {rows} vectors of dim {width}, drop={drop}")
+    model = fit_whitening(blocks(), drop=drop)
     out = _model_path(cfg, args.out, "whitening.famb")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model)
-    print(f"whitening: {out} (out dim {model.out_dim})")
+    print(f"whitening: {out} (out dim {model.out_dim}, {model.floored} floored at eps)")
     return 0
 
 

@@ -271,6 +271,8 @@ def save_model(path: str | Path, model: Model) -> None:
             "mean": model.mean,
             "basis": model.basis,
         }
+        if model.floored is not None:
+            sections["floored"] = np.int64(model.floored)
     elif isinstance(model, ItqModel):
         sections = {
             "model_type": "itq",
@@ -316,6 +318,7 @@ def load_model(path: str | Path) -> Model:
         return WhiteningModel(
             mean=_expect(sections, "mean", path, np.ndarray),
             basis=_expect(sections, "basis", path, np.ndarray),
+            floored=int(_expect_scalar(sections, "floored", path)) if "floored" in sections else None,
         )
     if mtype == "itq":
         return ItqModel(

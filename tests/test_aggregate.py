@@ -79,8 +79,10 @@ class TestWhitening:
         base = rng.standard_normal((100, 2))
         Phi = np.hstack([base, base @ np.ones((2, 1))])  # third column dependent
         model = fit_whitening(Phi)
+        assert model.floored == 1  # the dependent column's zero eigenvalue
         W = whiten_batch(Phi, model)
         assert np.isfinite(W).all()
+        assert fit_whitening(base).floored == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,10 +91,102 @@ class TestWhitening:
             fit_whitening(np.ones((10, 3)), drop=3)
         with pytest.raises(ValueError, match="eps"):
             fit_whitening(np.eye(3), eps=0.0)
+        with pytest.raises(ValueError, match="drop"):
+            fit_whitening(np.ones((10, 3)), drop=-1)
         rng = np.random.default_rng(5)
         model = fit_whitening(rng.standard_normal((20, 3)))
         with pytest.raises(ValueError):
             whiten(np.ones(4), model)
+
+    def test_block_validation(self):
+        with pytest.raises(ValueError, match="2 training vectors, got 1"):
+            fit_whitening([np.ones((1, 3)), np.ones((0, 3))])
+        with pytest.raises(ValueError, match="2-D"):
+            fit_whitening([])
+        with pytest.raises(ValueError, match="3 columns"):
+            fit_whitening([np.ones((4, 3)), np.ones((4, 2))])
+        with pytest.raises(ValueError, match="2-D"):
+            fit_whitening(np.ones(3))
+
+    def test_basis_is_c_contiguous(self):
+        # a fitted model must round as the same model read back from a file
+        rng = np.random.default_rng(6)
+        model = fit_whitening(rng.standard_normal((60, 5)), drop=1)
+        assert model.basis.flags.c_contiguous
+        fortran = WhiteningModel(mean=model.mean, basis=np.asfortranarray(model.basis))
+        assert fortran.basis.flags.c_contiguous and fortran.floored is None
+
+
+# Blocked and one-block fits agree with a two-pass mean and covariance to
+# 1e-12 of the largest entry (measured about 1e-15).  Summing raw, unshifted
+# squares instead misses this by 1e-7 on the offset data.
+_BLOCK_RTOL = 1e-12
+
+
+def _blocked_data(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if kind == "offset":  # mean 1e4, unit spread: the cancellation case
+        return 1e4 + rng.standard_normal((300, 7))
+    return rng.standard_normal((300, 7)) @ rng.standard_normal((7, 7))
+
+
+class TestBlockedFit:
+    @pytest.mark.parametrize("kind", ["plain", "offset"])
+    @pytest.mark.parametrize(
+        "cuts",
+        [[7, 8, 9, 200], [1, 2, 150], [299], [3, 10, 11, 12, 13, 290, 298]],
+        ids=["uneven", "short-first", "one-row-last", "many"],
+    )
+    def test_matches_one_block(self, kind, cuts):
+        X = _blocked_data(kind)
+        # the two-pass reference: center on the exact mean, then one product
+        mean1, cov1 = X.mean(axis=0), np.cov(X, rowvar=False)
+        for blocks in (X, np.split(X, cuts)):
+            mean, cov = faemb.aggregate._moments(blocks)
+            assert np.abs(mean - mean1).max() <= _BLOCK_RTOL * np.abs(mean1).max()
+            assert np.abs(cov - cov1).max() <= _BLOCK_RTOL * np.abs(cov1).max()
+        # so do the fitted models: basis @ basis.T is the inverse covariance,
+        # free of eigenvector signs, and amplifies the difference by its
+        # condition number
+        one, blocked = fit_whitening(X), fit_whitening(np.split(X, cuts))
+        inv1, inv = one.basis @ one.basis.T, blocked.basis @ blocked.basis.T
+        assert np.abs(inv - inv1).max() <= 1e-9 * np.abs(inv1).max()
+
+    def test_offset_data_needs_the_shift(self):
+        X = _blocked_data("offset")
+        _, cov = faemb.aggregate._moments(np.split(X, [7, 8, 9, 200]))
+        naive = (X.T @ X - np.outer(X.sum(axis=0), X.sum(axis=0)) / len(X)) / (len(X) - 1)
+        assert np.abs(naive - cov).max() > 1e3 * _BLOCK_RTOL * np.abs(cov).max()
+
+    def test_one_row_blocks(self):
+        X = _blocked_data("offset")
+        mean1, cov1 = X.mean(axis=0), np.cov(X, rowvar=False)
+        mean, cov = faemb.aggregate._moments(list(X[:, None, :]))
+        assert np.abs(mean - mean1).max() <= _BLOCK_RTOL * np.abs(mean1).max()
+        assert np.abs(cov - cov1).max() <= _BLOCK_RTOL * np.abs(cov1).max()
+
+    def test_groups_hold_width_rows_but_the_last(self):
+        sizes = [3, 1, 0, 5, 2, 2, 9, 1, 1]
+        groups = list(faemb.aggregate._row_groups(sizes, lambda k: k, 4))
+        assert groups == [[3, 1], [0, 5], [2, 2], [9], [1, 1]]
+        flat = [sum(g) for g in groups]
+        assert list(faemb.aggregate._row_groups(flat, lambda k: k, 4)) == [[f] for f in flat]
+        # long vectors: a block stops at 2,048 rows, not at their length
+        wide = list(faemb.aggregate._row_groups([1000] * 5, lambda k: k, 16_560))
+        assert wide == [[1000] * 3, [1000] * 2]
+
+    def test_grouping_depends_only_on_block_sizes(self):
+        # per-image blocks and the same images pre-grouped by the rule give
+        # bitwise the same model: this is what keeps fit-agg and the library
+        # path equal
+        rng = np.random.default_rng(8)
+        images = [rng.standard_normal((m, 6)) for m in (2, 3, 1, 4, 5, 2, 1, 6, 3)]
+        grouped = [
+            np.concatenate(g) for g in faemb.aggregate._row_groups(images, len, 6)
+        ]
+        a, b = fit_whitening(images, drop=1), fit_whitening(iter(grouped), drop=1)
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.basis.tobytes() == b.basis.tobytes()
 
 
 class TestDemocraticWeights:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import struct
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -806,7 +807,7 @@ class TestLibraryParity:
     @pytest.mark.parametrize(
         "variant, s1, s2", [("ffaemb", 0.0, 0.0), ("faemb", 0.0, 0.0), ("ffaemb", 0.5, 0.25)]
     )
-    def test_cli_matches_library_path(self, workspace, tmp_path, variant, s1, s2):
+    def test_cli_matches_library_path(self, workspace, tmp_path, capsys, variant, s1, s2):
         corpus = workspace / "noisy" / "corpus.faeb"
         cfg = tmp_path / "embedding.cfg"
         cfg.write_text(f"[embedding]\ns1 = {s1}\ns2 = {s2}\n")
@@ -815,8 +816,10 @@ class TestLibraryParity:
             "--variant", variant, *common)
         run("embed", "--in", str(corpus), "--coding", str(tmp_path / "coding.famb"),
             "--out", str(tmp_path / "embedded.famb"), *common)
+        capsys.readouterr()
         run("fit-agg", "--in", str(tmp_path / "embedded.famb"),
             "--out", str(tmp_path / "whitening.famb"), *common)
+        fit_line = capsys.readouterr().out
         for threads in ("1", "2"):
             run("aggregate", "--in", str(tmp_path / "embedded.famb"),
                 "--whitening", str(tmp_path / "whitening.famb"),
@@ -827,15 +830,15 @@ class TestLibraryParity:
         sets = load_descriptors(corpus)
         ecfg = EmbeddingConfig(s1=s1, s2=s2)
         embedded = [embed_descriptor_set(s, model, ecfg) for s in sets]
-        wm = fit_whitening(np.vstack(embedded), drop=default_drop(model.dim))
+        # the per-image list: fit_whitening groups it into the CLI's blocks
+        wm = fit_whitening(embedded, drop=default_drop(model.dim))
         got_wm = load_model(tmp_path / "whitening.famb")
         for name in ("mean", "basis"):
             a, b = getattr(got_wm, name), getattr(wm, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        # the CLI whitens with the model as read back from its file: the
-        # values are wm's, but the memory layout (and so the GEMM) is the file's
+        assert f"{wm.floored} floored at eps" in fit_line
         want = [
-            signature_from_embedded(E, got_wm, image_id=s.image_id) for E, s in zip(embedded, sets)
+            signature_from_embedded(E, wm, image_id=s.image_id) for E, s in zip(embedded, sets)
         ]
         got = load_signatures(tmp_path / "signatures1.famb")
         assert [s.image_id for s in got] == [s.image_id for s in want]
@@ -848,6 +851,56 @@ class TestLibraryParity:
         n_rows = sum(s.count for s in sets)
         width = embedding_length(model.n_anchors, model.dim, ecfg)
         assert (tmp_path / "embedded.famb").stat().st_size < n_rows * width * 8
+        assert n_rows > 3 * width  # so fit-agg accumulated several blocks
+
+
+class TestFitAgg:
+    def test_single_descriptor_exits_one_with_json_line(self, tmp_path, capsys):
+        path = tmp_path / "embedded.famb"
+        one = {
+            "ids": '["a"]',
+            "counts": np.array([1], dtype=np.int64),
+            "values": np.arange(6, dtype=np.float32).reshape(1, 6),
+            "gamma": np.full((4, 1), 0.25),
+        }
+        path.write_bytes(container_naive({**embedded_sections(), **one}))
+        rc = main(["fit-agg", "--in", str(path), "--out", str(tmp_path / "whitening.famb")])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line.startswith("{") for line in err_lines] == [False, True]  # log, error
+        payload = json.loads(err_lines[-1])
+        assert payload["error"] == "ValueError"
+        assert "need at least 2 training vectors, got 1" in payload["message"]
+        assert not (tmp_path / "whitening.famb").exists()
+
+    def test_threads_write_byte_identical_models(self, workspace, tmp_path):
+        embedded = workspace / "noisy" / "embedded.famb"
+        for threads in ("1", "2"):
+            run("fit-agg", "--in", str(embedded), "--out", str(tmp_path / f"w{threads}.famb"),
+                "--threads", threads)
+        assert (tmp_path / "w1.famb").read_bytes() == (tmp_path / "w2.famb").read_bytes()
+
+    def test_traced_peak_stays_well_below_the_stack(self, workspace, tmp_path):
+        # 100 images x 200 rows embedded at D = 84: the N x D stack the fit
+        # no longer builds would take 13.4 MB (and its centered copy as much)
+        corpus = tmp_path / "big"
+        run("synth", "--out-dir", str(corpus), "--clusters", "20", "--per-cluster", "5",
+            "--descriptors", "200", "--dim", "6", "--sigma", "0.3", "--seed", "5")
+        embedded = tmp_path / "embedded.famb"
+        run("embed", "--in", str(corpus / "corpus.faeb"),
+            "--coding", str(workspace / "noisy" / "coding.famb"), "--out", str(embedded))
+        stack = 20 * 5 * 200 * embedding_length(4, 6) * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run("fit-agg", "--in", str(embedded), "--out", str(tmp_path / "whitening.famb"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # what remains is the file's arrays, O(N (d + n)), the D x D sums and
+        # one block: about a fifth of the stack
+        assert peak < stack / 4
 
 
 def test_cli_keeps_every_name_the_traced_benchmark_wraps(monkeypatch):

@@ -10,7 +10,7 @@ from oracles import container_naive
 from faemb.aggregate import ImageSignature
 from faemb.binary import BinaryCode, fit_itq
 from faemb.coding import CodingModel
-from faemb.aggregate import WhiteningModel, fit_rotation_norm, fit_whitening
+from faemb.aggregate import WhiteningModel, fit_rotation_norm, fit_whitening, whiten_batch
 from faemb.retrieval import GroundTruth, RetrievalIndex, build_binary_index, build_index
 from faemb.core import DescriptorSet
 from faemb.storage import (
@@ -382,6 +382,25 @@ class TestModelRoundtrips:
         np.testing.assert_array_equal(loaded.mean, model.mean)
         np.testing.assert_array_equal(loaded.basis, model.basis)
         assert loaded.out_dim == 4
+        assert loaded.floored == model.floored == 0
+        # the in-memory model and the file's round alike: both bases are C-ordered
+        Phi = rng.standard_normal((30, 6))
+        assert whiten_batch(Phi, loaded).tobytes() == whiten_batch(Phi, model).tobytes()
+
+    def test_whitening_floored_count_is_optional(self, tmp_path):
+        model = fit_whitening(np.hstack([np.eye(5), np.zeros((5, 1))]), drop=1)
+        path = tmp_path / "whitening.famb"
+        save_model(path, model)
+        assert load_model(path).floored == model.floored == 2  # a zero column, rank 4 of 5 rows
+        sections = read_container(path)
+        del sections["floored"]
+        write_container(path, sections)
+        assert load_model(path).floored is None
+        save_model(path, load_model(path))
+        assert "floored" not in read_container(path)
+        write_container(path, {**sections, "floored": np.ones(2, dtype=np.int64)})
+        with pytest.raises(StorageError, match="'floored' is not a scalar"):
+            load_model(path)
 
     def test_rotation_norm_model(self, tmp_path):
         rng = np.random.default_rng(8)
